@@ -16,20 +16,16 @@ from .series import (
     PowerSeriesInvX,
     backward_diff,
     harmonic_h,
-    harmonic_h_power,
     li1_power,
     logseries_eval,
-    nabla_ln,
     series_eval,
-    series_mul,
     shift_s,
 )
-from .amatrix import AMatrix, a_determinant, check_special_values, compute_a_matrix, last_row
-from .qcoeff import QSeries, log_expansion_q_list, q_closed_form, q_table, q_via_recurrence
+from .amatrix import AMatrix, a_determinant, check_special_values, compute_a_matrix
+from .qcoeff import log_expansion_q_list, q_closed_form, q_via_recurrence
 from .fdecomp import (
     BetaTable,
     FEvaluator,
-    JIterate,
     beta_table,
     build_j_iterate,
     derivative_residual,
@@ -56,10 +52,8 @@ __all__ = [
     "ConvParams",
     "EvalResult",
     "FEvaluator",
-    "JIterate",
     "LogSeries",
     "PowerSeriesInvX",
-    "QSeries",
     "QuadratureError",
     "a_determinant",
     "backward_diff",
@@ -73,21 +67,16 @@ __all__ = [
     "f_from_conv",
     "f_quadrature_oracle",
     "harmonic_h",
-    "harmonic_h_power",
     "j_iterate_from_f_oracle",
-    "last_row",
     "li1_power",
     "log_expansion_q_list",
     "logseries_eval",
     "make_f_evaluator",
-    "nabla_ln",
     "q_closed_form",
-    "q_table",
     "q_via_recurrence",
     "reconstruct_from_f",
     "reflection_residual",
     "series_eval",
-    "series_mul",
     "shift_s",
     "varphi",
 ]

@@ -1,6 +1,8 @@
 """Lower-triangular integer matrices underlying the closed-form coefficient
-formula, plus checks of their special-value identities and a reader for
-OEIS-style b-files to compare rows against externally published sequences.
+formula, plus checks of their special-value identities.
+
+The matrices belong to the verification paths: ``q_closed_form`` uses
+them as the independent check on the short Q recurrence.
 
 For each size parameter s the matrix A^s is built row by row:
 
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 from .combinatorics import binomial, falling_factorial, rising_factorial
 
@@ -40,7 +41,7 @@ class AMatrix:
 
 @lru_cache(maxsize=None)
 def compute_a_matrix(s: int) -> AMatrix:
-    """Build A^s from the two-index recurrence."""
+    """Build A^s from the two-index recurrence (a verification path)."""
     if s < 0:
         raise ValueError(f"matrix size must be >= 0, got s={s}")
     rows: list[tuple[int, ...]] = [(1,)]
@@ -55,11 +56,6 @@ def compute_a_matrix(s: int) -> AMatrix:
             row.append(acc)
         rows.append(tuple(row))
     return AMatrix(s, tuple(rows))
-
-
-def last_row(a: AMatrix) -> tuple[int, ...]:
-    """Bottom row (m = s) of the triangle."""
-    return a.rows[a.s]
 
 
 def a_determinant(a: AMatrix) -> int:
@@ -110,74 +106,3 @@ def check_special_values(a: AMatrix) -> dict:
         "diagonal_factorial": diag_ok,
     }
     return {"ok": not failures, "identities": identities, "failures": failures}
-
-
-def read_bfile(path) -> list[tuple[int, int]]:
-    """Parse an OEIS-style b-file: one "index value" pair per line.
-
-    Blank lines and lines starting with '#' are skipped; anything else
-    that does not parse as two integers raises ValueError with the line
-    number.  Returns (index, value) pairs in file order.
-    """
-    pairs: list[tuple[int, int]] = []
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'index value', got {raw!r}")
-        try:
-            idx, val = int(fields[0]), int(fields[1])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-integer field in {raw!r}") from exc
-        pairs.append((idx, val))
-    return pairs
-
-
-def flattened_last_rows(s_max: int) -> list[int]:
-    """Concatenation of the bottom rows of A^0, A^1, ..., A^{s_max}."""
-    out: list[int] = []
-    for s in range(s_max + 1):
-        out.extend(last_row(compute_a_matrix(s)))
-    return out
-
-
-def best_alignment(values: list[int], target: list[int]) -> dict:
-    """Best contiguous alignment of ``target`` inside ``values``.
-
-    Published sequence offsets vary, so no fixed offset is assumed: every
-    placement of ``target`` against ``values`` is scored by the number of
-    matching entries and the best one is reported.  When ``values`` is
-    shorter than ``target`` only the overlapping prefix counts.
-    """
-    if not target:
-        raise ValueError("empty comparison target")
-    if not values:
-        return {"offset": 0, "matched": 0, "compared": 0, "exact": False}
-    best = {"offset": 0, "matched": -1, "compared": 0, "exact": False}
-    max_off = max(len(values) - len(target), 0)
-    for off in range(max_off + 1):
-        window = values[off : off + len(target)]
-        compared = min(len(window), len(target))
-        matched = sum(1 for a, b in zip(window, target) if a == b)
-        if matched > best["matched"]:
-            best = {
-                "offset": off,
-                "matched": matched,
-                "compared": compared,
-                "exact": matched == len(target),
-            }
-    return best
-
-
-def compare_last_rows_to_bfile(path, s_max: int) -> dict:
-    """Align the flattened bottom rows against a b-file's value column."""
-    pairs = read_bfile(path)
-    values = [v for _, v in pairs]
-    target = flattened_last_rows(s_max)
-    report = best_alignment(values, target)
-    report["bfile_terms"] = len(values)
-    report["target_terms"] = len(target)
-    return report

@@ -12,8 +12,7 @@ Subcommands expose the main computations and the verification suites:
 
 Output is a single JSON document by default (``--format csv`` emits the
 tabular part).  Exit status: 0 when every reported check passed, 1 when
-any failed, 2 for usage or domain errors.  The default truncation order
-can also be set through the environment variable ``CONVPOW_N``.
+any failed, 2 for usage or domain errors.
 """
 
 from __future__ import annotations
@@ -22,13 +21,12 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
 
 from . import verify as verify_mod
-from .amatrix import a_determinant, check_special_values, compare_last_rows_to_bfile, compute_a_matrix
+from .amatrix import a_determinant, check_special_values, compute_a_matrix
 from .convolution import (
     DEFAULT_MAX_DEPTH,
     ConvParams,
@@ -52,7 +50,6 @@ class RunConfig:
     quad_tol: float = 1e-10
     compare_tol: float = 1e-6
     fmt: str = "json"
-    bfile: str | None = None
 
     def __post_init__(self):
         if self.order < 8:
@@ -67,18 +64,8 @@ class RunConfig:
             raise ValueError(f"--format must be json or csv, got {self.fmt!r}")
 
 
-def _default_order() -> int:
-    raw = os.environ.get("CONVPOW_N")
-    if raw is None:
-        return DEFAULT_ORDER
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"CONVPOW_N must be an integer, got {raw!r}") from None
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--order", "-N", type=int, default=None, help="series truncation order (env CONVPOW_N)")
+    parser.add_argument("--order", "-N", type=int, default=DEFAULT_ORDER, help="series truncation order")
     parser.add_argument("--prec", type=int, default=DEFAULT_PREC, help="evaluation precision in bits")
     parser.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
     parser.add_argument("--compare-tol", type=float, default=1e-6, help="tolerance for cross-path comparisons")
@@ -93,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("s", type=int, help="matrix size parameter")
     p.add_argument("--check", action="store_true", help="verify the closed-form slices")
     p.add_argument("--det", action="store_true", help="include the determinant")
-    p.add_argument("--bfile", type=str, default=None, help="align flattened bottom rows against an OEIS-style b-file")
     _add_common(p)
 
     p = sub.add_parser("qcoeff", help="coefficients of one Q-series by both computation paths")
@@ -126,14 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    order = args.order if args.order is not None else _default_order()
     return RunConfig(
-        order=order,
+        order=args.order,
         precision=args.prec,
         quad_tol=args.tol,
         compare_tol=args.compare_tol,
         fmt=args.format,
-        bfile=getattr(args, "bfile", None),
     )
 
 
@@ -148,8 +132,6 @@ def cmd_amatrix(args, cfg: RunConfig):
         results["special_values"] = report
         for identity, ok in report["identities"].items():
             checks.append(verify_mod.Check(f"{identity} s={a.s}", ok))
-    if cfg.bfile:
-        results["bfile_alignment"] = compare_last_rows_to_bfile(cfg.bfile, a.s)
     return results, checks
 
 
@@ -158,7 +140,7 @@ def cmd_qcoeff(args, cfg: RunConfig):
         raise ValueError(f"level must be >= 0, got {args.n}")
     if args.smax < 1:
         raise ValueError(f"smax must be >= 1, got {args.smax}")
-    rec = q_via_recurrence(args.n, args.smax).series
+    rec = q_via_recurrence(args.n, args.smax)
     rows = []
     agree = True
     for s in range(args.smax + 1):
@@ -258,12 +240,7 @@ def cmd_verify(args, cfg: RunConfig):
     elif args.suite in ("stirling", "beta"):
         if args.nmax is not None:
             kwargs["n_max"] = args.nmax
-    elif args.suite in ("reflection", "derivative"):
-        if args.n is not None:
-            kwargs["ns"] = (args.n,)
-        if args.y is not None:
-            kwargs["ys"] = (args.y,)
-    elif args.suite == "elimination":
+    elif args.suite in ("reflection", "derivative", "elimination"):
         if args.n is not None:
             kwargs["ns"] = (args.n,)
         if args.y is not None:
@@ -307,7 +284,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from(args)
         results, checks = _HANDLERS[args.command](args, cfg)
-    except (ValueError, QuadratureError, OSError) as exc:
+    except (ValueError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - started) * 1000.0

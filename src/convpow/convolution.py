@@ -191,6 +191,9 @@ def j_iterate_from_f_oracle(
 ) -> float:
     """Numerical value of the n-th J-iterate at x, from the f oracle alone.
 
+    A verification path: the reference the tests hold ``build_j_iterate``
+    against, sharing no code with the series side.
+
     The decomposition f_m(y) = sum_k beta_k * J^{m-k}[1](y + m) is lower
     triangular in the J-iterates with unit diagonal, so given the beta
     constants it inverts forward:

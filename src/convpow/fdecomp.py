@@ -44,23 +44,14 @@ from .series import (
     DEFAULT_PREC,
     EvalResult,
     LogSeries,
-    PowerSeriesInvX,
     _exact,
     _to_mpf,
     logseries_eval,
 )
 
 
-@dataclass(frozen=True)
-class JIterate:
-    """Level n of the J-iteration, as a ln(x)-polynomial with series parts."""
-
-    n: int
-    logseries: LogSeries
-
-
 @lru_cache(maxsize=None)
-def build_j_iterate(n: int, order: int = DEFAULT_ORDER) -> JIterate:
+def build_j_iterate(n: int, order: int = DEFAULT_ORDER) -> LogSeries:
     """Assemble J^n[1] from the log-expansion Q-series: part j of the
     ln-polynomial is (-1)^{n-j} Q_{n-j} / j!.
 
@@ -70,13 +61,13 @@ def build_j_iterate(n: int, order: int = DEFAULT_ORDER) -> JIterate:
     """
     if n < 0:
         raise ValueError(f"iterate index must be >= 0, got n={n}")
-    qs = log_expansion_q_list(max(n, 1), order)
+    qs = log_expansion_q_list(n, order)
     parts = []
     for j in range(n + 1):
         q = qs[n - j]
         sign = -1 if (n - j) % 2 else 1
         parts.append(q * Fraction(sign, math.factorial(j)))
-    return JIterate(n, LogSeries(parts))
+    return LogSeries(parts)
 
 
 def _eval_j(m: int, x, order: int, prec: int) -> EvalResult:
@@ -88,7 +79,7 @@ def _eval_j(m: int, x, order: int, prec: int) -> EvalResult:
         return EvalResult(mpmath.mpf(0), mpmath.mpf(0), True)
     if xf <= 1:
         raise ValueError(f"J-iterates with m >= 1 need x > 1, got x={xf}")
-    return logseries_eval(build_j_iterate(m, order).logseries, xf, prec)
+    return logseries_eval(build_j_iterate(m, order), xf, prec)
 
 
 @dataclass(frozen=True)

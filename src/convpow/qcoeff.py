@@ -5,20 +5,21 @@ polynomial in ln(x) whose coefficients involve a family of pure
 1/x-series Q_n (Q_0 = 1, Q_1 = 0).  This module computes coefficient
 series by three routes:
 
-* ``q_via_recurrence`` pushes the short operator recurrence
+* ``q_via_recurrence`` (a verification path) pushes the short operator
+  recurrence
       Q_{n+1} = -H[ li1_power(n) - backward_diff(Q_n) ]       (n >= 1)
   through the exact series layer.  Q_1 = 0 is initial data: the n = 0
   instance of the recurrence is excluded by construction, since it would
   produce a stray ln(x) (a nonzero constant term under H).
-* ``q_closed_form`` evaluates each coefficient directly from a double sum
-  over Stirling numbers, binomials and triangular-matrix entries.  It is
-  the exact solution of the short recurrence: agreement of these two
-  paths over a rectangle of (n, s) is one of the main correctness gates
-  for the package.
+* ``q_closed_form`` (a verification path) evaluates each coefficient
+  directly from a double sum over Stirling numbers, binomials and
+  triangular-matrix entries.  It is the exact solution of the short
+  recurrence: agreement of these two paths over a rectangle of (n, s) is
+  one of the main correctness gates for the package.
 * ``log_expansion_q_list`` generates the series that actually appear as
-  ln-power coefficients of the iterated operator (see below).  These
-  coincide with the other two paths up to level 3 and diverge from
-  level 4 on.
+  ln-power coefficients of the iterated operator (see below); it is the
+  family the evaluation pipeline uses.  These coincide with the other two
+  paths up to level 3 and diverge from level 4 on.
 
 Why two families?  Matching powers of ln(x) in the derivative identity
 (J^{n+1}[1])'(x) = J^n[1](x-1)/x forces the full recurrence
@@ -33,26 +34,21 @@ cross-validates exactly); the full family is what the decomposition
 layer consumes, since only it satisfies the defining differential,
 reflection and convolution identities from level 4 upward.  The
 ``log-expansion-consistency`` tests pin both facts down symbolically.
+
+Both recurrences build one level at a time: level n is cached per
+truncation order and computed from the cached level n - 1, so every
+level is built once however many callers ask for it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .amatrix import compute_a_matrix
 from .combinatorics import binomial, stirling1_unsigned
-from .series import DEFAULT_ORDER, PowerSeriesInvX, backward_diff, li1_power
-
-
-@dataclass(frozen=True)
-class QSeries:
-    """Level n together with its truncated coefficient series."""
-
-    n: int
-    series: PowerSeriesInvX
+from .series import DEFAULT_ORDER, PowerSeriesInvX, backward_diff, harmonic_h, li1_power, shift_s
 
 
 def _neg_h_pure(arg: PowerSeriesInvX) -> PowerSeriesInvX:
@@ -66,38 +62,34 @@ def _neg_h_pure(arg: PowerSeriesInvX) -> PowerSeriesInvX:
         raise ArithmeticError(
             f"nonzero constant term {arg.coeffs[0]} would put a ln(x) into a pure series"
         )
-    out = [Fraction(0)]
-    out.extend(arg.coeffs[k] / k for k in range(1, arg.order + 1))
-    return PowerSeriesInvX(out, arg.conv_abscissa)
+    return -harmonic_h(arg).part(0)
 
 
 @lru_cache(maxsize=None)
-def _q_list(n_max: int, order: int) -> tuple[PowerSeriesInvX, ...]:
-    """Q_0..Q_{n_max} at the given truncation order, via the recurrence."""
-    qs = [
-        PowerSeriesInvX.constant(1, order),  # Q_0
-        PowerSeriesInvX.zero(order),         # Q_1 (initial data, see module docstring)
-    ]
-    for n in range(1, n_max):
-        arg = li1_power(n, order) - backward_diff(qs[n])
-        qs.append(_neg_h_pure(arg))
-    return tuple(qs[: n_max + 1])
+def q_via_recurrence(n: int, order: int = DEFAULT_ORDER) -> PowerSeriesInvX:
+    """Q_n of the short family as a truncated series, via the operator
+    recurrence on the cached Q_{n-1}.
 
-
-def q_via_recurrence(n: int, order: int = DEFAULT_ORDER) -> QSeries:
-    """Q_n as a truncated series, computed through the operator recurrence."""
+    A verification path: together with ``q_closed_form`` it forms the
+    mutually checking pair; the pipeline uses ``log_expansion_q_list``.
+    """
     if n < 0:
         raise ValueError(f"q_via_recurrence requires n >= 0, got n={n}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    return QSeries(n, _q_list(max(n, 1), order)[n])
+    if n == 0:
+        return PowerSeriesInvX.constant(1, order)
+    if n == 1:
+        return PowerSeriesInvX.zero(order)  # initial data, see module docstring
+    prev = q_via_recurrence(n - 1, order)
+    return _neg_h_pure(li1_power(n - 1, order) - backward_diff(prev))
 
 
 def q_closed_form(n_plus_1: int, s: int) -> Fraction:
     """Single coefficient q_{n+1, s} from the closed-form double sum.
 
-    For s < n the value is 0 (the series for Q_{n+1} starts at x^{-n});
-    otherwise
+    A verification path for ``q_via_recurrence``.  For s < n the value is
+    0 (the series for Q_{n+1} starts at x^{-n}); otherwise
 
         q_{n+1,s} = (1/s) (1/s!) sum_{nu=0}^{n-1} sum_{sigma=nu}^{nu+s-n}
                     s1(s - sigma, n - nu) C(s, sigma) A^s_{sigma, nu}.
@@ -122,19 +114,6 @@ def q_closed_form(n_plus_1: int, s: int) -> Fraction:
     return Fraction(total, s * math.factorial(s))
 
 
-def q_table(n_max: int, s_max: int) -> dict[int, list[Fraction]]:
-    """Coefficients q_{n,s} for 2 <= n <= n_max, 0 <= s <= s_max.
-
-    Rows are keyed by the level n and computed by the closed form; the
-    dual-path verification suite asserts equality with the recurrence.
-    """
-    if n_max < 2:
-        raise ValueError(f"q_table requires n_max >= 2, got {n_max}")
-    if s_max < 1:
-        raise ValueError(f"q_table requires s_max >= 1, got {s_max}")
-    return {n: [q_closed_form(n, s) for s in range(s_max + 1)] for n in range(2, n_max + 1)}
-
-
 @lru_cache(maxsize=None)
 def log_expansion_q_list(n_max: int, order: int = DEFAULT_ORDER) -> tuple[PowerSeriesInvX, ...]:
     """Q_0..Q_{n_max} of the *log expansion*, via the full recurrence.
@@ -151,20 +130,22 @@ def log_expansion_q_list(n_max: int, order: int = DEFAULT_ORDER) -> tuple[PowerS
     cross terms contribute and the leading coefficient moves down to
     x^{-2} (e.g. the level-4 series starts 1/2 * x^{-2} where the short
     family starts 5/9 * x^{-3}).
+
+    Only level n_max is built here; the lower levels are the cached
+    ``log_expansion_q_list(n_max - 1, order)``, shared element by element.
     """
     if n_max < 0:
         raise ValueError(f"log_expansion_q_list requires n_max >= 0, got {n_max}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    qs = [
-        PowerSeriesInvX.constant(1, order),
-        PowerSeriesInvX.zero(order),
-    ]
-    for k in range(1, n_max):
-        bracket = li1_power(k, order)
-        for j in range(1, k):
-            shifted = qs[j] - backward_diff(qs[j])
-            bracket = bracket + shifted * li1_power(k - j, order)
-        bracket = bracket - backward_diff(qs[k])
-        qs.append(_neg_h_pure(bracket))
-    return tuple(qs[: n_max + 1])
+    if n_max == 0:
+        return (PowerSeriesInvX.constant(1, order),)
+    qs = log_expansion_q_list(n_max - 1, order)
+    if n_max == 1:
+        return qs + (PowerSeriesInvX.zero(order),)  # Q_1 = 0 is initial data
+    k = n_max - 1
+    bracket = li1_power(k, order)
+    for j in range(1, k):
+        bracket = bracket + shift_s(qs[j]) * li1_power(k - j, order)
+    bracket = bracket - backward_diff(qs[k])
+    return qs + (_neg_h_pure(bracket),)

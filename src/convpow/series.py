@@ -11,11 +11,14 @@ The operators implemented here:
 
 * ``harmonic_h``       H[g](x) = integral of g(x)/x, constant pinned so
                        that the 1/x-part vanishes at infinity,
-* ``harmonic_h_power`` the m-fold iterate of H in closed form,
 * ``backward_diff``    the difference g(x) - g(x-1) re-expanded in 1/x,
 * ``shift_s``          the shift g(x) -> g(x-1) on log-degree <= 1,
 * ``li1_power``        (1/n!) * Li_1(1/x)^n, whose 1/x-coefficients are
-                       unsigned Stirling numbers over factorials.
+                       unsigned Stirling numbers over factorials; n = 1 is
+                       Li_1(1/x) = ln(x) - ln(x-1), the backward difference
+                       of ln(x) itself.
+
+The Cauchy product is ``PowerSeriesInvX.__mul__``.
 
 Evaluation keeps partial sums as exact integers (Horner on a common
 denominator) and converts to an mpmath float once, at the end.  Each
@@ -48,9 +51,14 @@ _TAIL_RATIO_CAP = Fraction(255, 256)
 
 
 def _exact(x) -> Fraction:
-    """Coerce an int/float/Fraction evaluation point to an exact Fraction."""
+    """Coerce an int/float/Fraction evaluation point to an exact Fraction.
+
+    A non-finite float has no exact value and raises ValueError.
+    """
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"evaluation point must be finite, got {x}")
     if isinstance(x, (int, float)):
         return Fraction(x)
     raise TypeError(f"evaluation point must be int, float or Fraction, got {type(x).__name__}")
@@ -227,11 +235,6 @@ class EvalResult:
         return float(self.value)
 
 
-def series_mul(f: PowerSeriesInvX, g: PowerSeriesInvX) -> PowerSeriesInvX:
-    """Cauchy product truncated at the shared order of f and g."""
-    return f * g
-
-
 def harmonic_h(g: PowerSeriesInvX) -> LogSeries:
     """Antiderivative of g(x)/x, re-expanded around infinity.
 
@@ -246,27 +249,6 @@ def harmonic_h(g: PowerSeriesInvX) -> LogSeries:
         PowerSeriesInvX(pure, g.conv_abscissa),
         PowerSeriesInvX.constant(g.coeffs[0], n, g.conv_abscissa),
     ])
-
-
-def harmonic_h_power(g: PowerSeriesInvX, m: int) -> LogSeries:
-    """m-fold iterate of ``harmonic_h`` in closed form.
-
-    The x^{-k} coefficient picks up (-1)^m / k^m and the constant term
-    becomes a_0 * ln(x)^m / m!; no mixed ln-powers appear when starting
-    from a pure series.
-    """
-    if m < 0:
-        raise ValueError(f"harmonic_h_power requires m >= 0, got m={m}")
-    if m == 0:
-        return LogSeries([g])
-    n = g.order
-    sign = -1 if m % 2 else 1
-    pure = [Fraction(0)]
-    pure.extend(sign * g.coeffs[k] / k**m for k in range(1, n + 1))
-    parts = [PowerSeriesInvX(pure, g.conv_abscissa)]
-    parts.extend(PowerSeriesInvX.zero(n, g.conv_abscissa) for _ in range(m - 1))
-    parts.append(PowerSeriesInvX.constant(Fraction(g.coeffs[0], math.factorial(m)), n, g.conv_abscissa))
-    return LogSeries(parts)
 
 
 def backward_diff(g: PowerSeriesInvX) -> PowerSeriesInvX:
@@ -287,11 +269,6 @@ def backward_diff(g: PowerSeriesInvX) -> PowerSeriesInvX:
                 acc += binomial(k - 1, r) * a
         out[k] = -acc
     return PowerSeriesInvX(out, g.conv_abscissa + 1)
-
-
-def nabla_ln(order: int = DEFAULT_ORDER) -> PowerSeriesInvX:
-    """Backward difference of ln(x) itself: ln(x) - ln(x-1) = Li_1(1/x)."""
-    return li1_power(1, order)
 
 
 def li1_power(n: int, order: int = DEFAULT_ORDER) -> PowerSeriesInvX:
@@ -329,9 +306,7 @@ def shift_s(g):
         return LogSeries([shift_s(g.parts[0])])
     if g.degree > 1:
         raise ValueError(f"shift_s supports log-degree <= 1, got degree {g.degree}")
-    p0, p1 = g.parts
-    s0 = p0 - backward_diff(p0)
-    s1 = p1 - backward_diff(p1)
+    s0, s1 = (shift_s(p) for p in g.parts)
     return LogSeries([s0 - s1 * li1_power(1, g.order), s1])
 
 

@@ -2,17 +2,7 @@ import math
 
 import pytest
 
-from convpow.amatrix import (
-    AMatrix,
-    a_determinant,
-    best_alignment,
-    check_special_values,
-    compare_last_rows_to_bfile,
-    compute_a_matrix,
-    flattened_last_rows,
-    last_row,
-    read_bfile,
-)
+from convpow.amatrix import AMatrix, a_determinant, check_special_values, compute_a_matrix
 from convpow.combinatorics import superfactorial
 
 
@@ -30,12 +20,12 @@ def test_s3_rows():
 
 
 def test_s6_bottom_row():
-    assert last_row(compute_a_matrix(6)) == (0, 120, 3014, 11250, 12900, 5400, 720)
+    assert compute_a_matrix(6).rows[6] == (0, 120, 3014, 11250, 12900, 5400, 720)
 
 
 def test_last_row_examples():
-    assert last_row(compute_a_matrix(0)) == (1,)
-    assert last_row(compute_a_matrix(5)) == (0, 24, 350, 850, 600, 120)
+    assert compute_a_matrix(0).rows[0] == (1,)
+    assert compute_a_matrix(5).rows[5] == (0, 24, 350, 850, 600, 120)
 
 
 def test_matrices_depend_on_s():
@@ -95,62 +85,3 @@ def test_interior_entries_positive():
 def test_diagonal_is_factorial():
     a = compute_a_matrix(5)
     assert [a.entry(m, m) for m in range(6)] == [math.factorial(m) for m in range(6)]
-
-
-# ---------------------------------------------------------------------------
-# b-file comparison
-
-
-def test_read_bfile(tmp_path):
-    p = tmp_path / "b.txt"
-    p.write_text("# a comment\n\n1 1\n2 0\n3 1\n")
-    assert read_bfile(p) == [(1, 1), (2, 0), (3, 1)]
-
-
-def test_read_bfile_malformed_line(tmp_path):
-    p = tmp_path / "b.txt"
-    p.write_text("1 1\n2 0 extra\n")
-    with pytest.raises(ValueError, match="2"):
-        read_bfile(p)
-
-
-def test_read_bfile_non_integer(tmp_path):
-    p = tmp_path / "b.txt"
-    p.write_text("1 x\n")
-    with pytest.raises(ValueError, match="non-integer"):
-        read_bfile(p)
-
-
-def test_flattened_last_rows():
-    assert flattened_last_rows(2) == [1, 0, 1, 0, 1, 2]
-
-
-def test_best_alignment_finds_offset():
-    values = [9, 9, 1, 0, 1, 0, 1, 2, 7]
-    report = best_alignment(values, [1, 0, 1, 0, 1, 2])
-    assert report["offset"] == 2
-    assert report["exact"] is True
-    assert report["matched"] == 6
-
-
-def test_best_alignment_partial():
-    report = best_alignment([1, 0, 1], [1, 0, 1, 0, 1, 2])
-    assert report["compared"] == 3
-    assert report["matched"] == 3
-    assert report["exact"] is False
-
-
-def test_best_alignment_empty_target():
-    with pytest.raises(ValueError):
-        best_alignment([1, 2], [])
-
-
-def test_compare_last_rows_to_bfile(tmp_path):
-    p = tmp_path / "b.txt"
-    rows = flattened_last_rows(4)
-    lines = [f"{i} {v}" for i, v in enumerate(rows, start=1)]
-    p.write_text("# header\n" + "\n".join(lines) + "\n")
-    report = compare_last_rows_to_bfile(p, 4)
-    assert report["exact"] is True
-    assert report["offset"] == 0
-    assert report["bfile_terms"] == report["target_terms"] == len(rows)

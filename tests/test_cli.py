@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 import convpow.cli as cli
-from convpow.amatrix import flattened_last_rows
 
 
 def run_json(capsys, argv):
@@ -43,15 +42,6 @@ def test_amatrix_six_with_checks(capsys):
     rc, payload = run_json(capsys, ["amatrix", "6", "--check", "--det"])
     assert rc == 0
     assert payload["results"]["determinant"] == 24883200
-
-
-def test_amatrix_bfile(capsys, tmp_path):
-    p = tmp_path / "b.txt"
-    p.write_text("\n".join(f"{i} {v}" for i, v in enumerate(flattened_last_rows(3), 1)))
-    rc, payload = run_json(capsys, ["amatrix", "3", "--bfile", str(p)])
-    assert rc == 0
-    assert payload["results"]["bfile_alignment"]["exact"] is True
-    assert payload["config"]["bfile"] == str(p)
 
 
 def test_qcoeff_table(capsys):
@@ -131,6 +121,14 @@ def test_eval_domain_error(capsys):
     assert "n must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["eval", "3", "inf", "--skip-oracles"], ["eval", "--conv", "2", "inf"]])
+def test_eval_non_finite_point(capsys, argv):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite" in err
+
+
 def test_verify_table1(capsys):
     rc, payload = run_json(capsys, ["verify", "table1"])
     assert rc == 0
@@ -171,20 +169,7 @@ def test_csv_output_checks_fallback(capsys):
     assert set(reader.fieldnames) >= {"name", "ok"}
 
 
-def test_order_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("CONVPOW_N", "32")
-    rc, payload = run_json(capsys, ["beta", "1"])
-    assert payload["config"]["order"] == 32
-
-
-def test_order_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("CONVPOW_N", "lots")
-    assert cli.main(["beta", "1"]) == 2
-    assert "CONVPOW_N" in capsys.readouterr().err
-
-
-def test_order_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("CONVPOW_N", "32")
+def test_order_flag(capsys):
     rc, payload = run_json(capsys, ["beta", "1", "-N", "48"])
     assert payload["config"]["order"] == 48
 

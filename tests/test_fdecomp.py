@@ -7,7 +7,6 @@ import pytest
 from convpow.fdecomp import (
     BetaTable,
     FEvaluator,
-    JIterate,
     _eval_j,
     beta_table,
     build_j_iterate,
@@ -27,22 +26,22 @@ F = Fraction
 
 def test_j0_is_one():
     j = build_j_iterate(0, 8)
-    assert j.logseries == LogSeries([PowerSeriesInvX.constant(1, 8)])
+    assert j == LogSeries([PowerSeriesInvX.constant(1, 8)])
     assert float(_eval_j(0, 0.5, 8, 64)) == 1.0
 
 
 def test_j1_is_ln():
     j = build_j_iterate(1, 8)
-    assert j.logseries.part(0) == PowerSeriesInvX.zero(8)
-    assert j.logseries.part(1) == PowerSeriesInvX.constant(1, 8)
+    assert j.part(0) == PowerSeriesInvX.zero(8)
+    assert j.part(1) == PowerSeriesInvX.constant(1, 8)
 
 
 def test_j2_is_dilog_plus_half_log_squared():
     j = build_j_iterate(2, 8)
-    assert j.logseries.part(2) == PowerSeriesInvX.constant(F(1, 2), 8)
-    assert j.logseries.part(1) == PowerSeriesInvX.zero(8)
+    assert j.part(2) == PowerSeriesInvX.constant(F(1, 2), 8)
+    assert j.part(1) == PowerSeriesInvX.zero(8)
     li2 = PowerSeriesInvX([F(0)] + [F(1, k * k) for k in range(1, 9)])
-    assert j.logseries.part(0) == li2
+    assert j.part(0) == li2
 
 
 def test_j2_at_two_is_pi_squared_over_twelve():
@@ -60,7 +59,7 @@ def test_j_iterate_part_signs():
     j = build_j_iterate(n, 10)
     for i in range(n + 1):
         want = qs[n - i] * F((-1) ** (n - i), math.factorial(i))
-        assert j.logseries.part(i) == want
+        assert j.part(i) == want
 
 
 def test_j_eval_domain():

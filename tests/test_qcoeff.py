@@ -1,29 +1,23 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 
 from convpow.combinatorics import binomial, stirling1_unsigned
-from convpow.qcoeff import (
-    QSeries,
-    _neg_h_pure,
-    log_expansion_q_list,
-    q_closed_form,
-    q_table,
-    q_via_recurrence,
-)
+from convpow.qcoeff import _neg_h_pure, log_expansion_q_list, q_closed_form, q_via_recurrence
 from convpow.series import PowerSeriesInvX, li1_power, shift_s
 
 F = Fraction
 
 
 def test_initial_data():
-    assert q_via_recurrence(0, 6).series == PowerSeriesInvX.constant(1, 6)
-    assert q_via_recurrence(1, 6).series == PowerSeriesInvX.zero(6)
+    assert q_via_recurrence(0, 6) == PowerSeriesInvX.constant(1, 6)
+    assert q_via_recurrence(1, 6) == PowerSeriesInvX.zero(6)
 
 
 def test_q2_is_dilogarithm():
-    q2 = q_via_recurrence(2, 20).series
+    q2 = q_via_recurrence(2, 20)
     assert q2.coeffs[0] == 0
     assert all(q2.coeffs[k] == F(1, k * k) for k in range(1, 21))
 
@@ -40,7 +34,7 @@ def q3_bracket(k):
 
 
 def test_q3_against_bracket_oracle():
-    q3 = q_via_recurrence(3, 20).series
+    q3 = q_via_recurrence(3, 20)
     for k in range(2, 21):
         assert q3.coeffs[k] == q3_bracket(k)
     # the first few, frozen: note the repeated 2/3 at k=3 and k=5
@@ -56,9 +50,10 @@ def test_recurrence_input_validation():
 
 def test_returns_tagged_series():
     q = q_via_recurrence(4, 10)
-    assert isinstance(q, QSeries)
-    assert q.n == 4
-    assert q.series.order == 10
+    assert isinstance(q, PowerSeriesInvX)
+    assert q.order == 10
+    # level 4 of the short family is the one starting 5/9 * x^{-3}
+    assert q.coeffs[:4] == (0, 0, 0, F(5, 9))
 
 
 def test_neg_h_rejects_constant_term():
@@ -96,25 +91,24 @@ def test_closed_form_input_validation():
 def test_dual_paths_agree_exactly():
     order = 24
     for n in range(2, 6):
-        rec = q_via_recurrence(n, order).series
+        rec = q_via_recurrence(n, order)
         for s in range(order + 1):
             assert rec.coeffs[s] == q_closed_form(n, s), (n, s)
 
 
 def test_q_table_entries():
-    table = q_table(4, 6)
+    table = {n: [q_closed_form(n, s) for s in range(7)] for n in range(2, 5)}
     assert table[2][2] == F(1, 4)
     assert table[3][2] == F(3, 4)
     assert table[4][2] == 0
-    assert sorted(table) == [2, 3, 4]
-    assert all(len(row) == 7 for row in table.values())
+    assert table[4] == list(q_via_recurrence(4, 6).coeffs)
 
 
 def test_q_table_input_validation():
     with pytest.raises(ValueError):
-        q_table(1, 5)
+        q_closed_form(1, 5)
     with pytest.raises(ValueError):
-        q_table(3, 0)
+        q_closed_form(3, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +118,14 @@ def test_q_table_input_validation():
 def test_families_coincide_through_level_three():
     full = log_expansion_q_list(3, 16)
     for n in range(4):
-        assert full[n] == q_via_recurrence(n, 16).series
+        assert full[n] == q_via_recurrence(n, 16)
 
 
 def test_families_split_at_level_four():
     full = log_expansion_q_list(5, 8)
     assert full[4].coeffs[:6] == (0, 0, F(1, 2), F(41, 36), F(509, 288), F(1937, 720))
     assert full[5].coeffs[:6] == (0, 0, 0, F(3, 4), F(69, 32), F(771, 160))
-    short4 = q_via_recurrence(4, 8).series
+    short4 = q_via_recurrence(4, 8)
     assert short4.coeffs[:6] == (0, 0, 0, F(5, 9), F(9, 8), F(59, 30))
     assert full[4] != short4
 
@@ -145,6 +139,29 @@ def test_level_four_cross_term_by_hand():
 
     bracket = li1_power(3, order) + shift_s(q2) * li1_power(1, order) - backward_diff(q3)
     assert full[4] == _neg_h_pure(bracket)
+
+
+def test_each_level_is_built_once():
+    log_expansion_q_list.cache_clear()
+    q_via_recurrence.cache_clear()
+    lists = [log_expansion_q_list(n, 64) for n in range(11)]
+    assert log_expansion_q_list.cache_info().misses == 11
+    for n in range(11):
+        for k in range(n):
+            assert all(lists[k][j] is lists[n][j] for j in range(k + 1)), (k, n)
+    top = q_via_recurrence(10, 64)
+    assert q_via_recurrence.cache_info().misses == 10  # levels 1..10; Q_1 is initial data
+    assert q_via_recurrence(10, 64) is top
+    assert all(q_via_recurrence(n, 64) is q_via_recurrence(n, 64) for n in range(1, 10))
+    assert q_via_recurrence.cache_info().misses == 10
+
+
+def test_log_expansion_coefficients_frozen():
+    # sha256 over str() of every coefficient, frozen when each level was
+    # still rebuilt from Q_0; any change to the exact values shows here
+    qs = log_expansion_q_list(12, 64)
+    digest = hashlib.sha256("\n".join(str(c) for q in qs for c in q.coeffs).encode()).hexdigest()
+    assert digest == "67efa8b35ece0568d8eb241edafdca1b3c7c883987d6b16b23d9af3cc09c8d33"
 
 
 def test_log_expansion_input_validation():
@@ -215,9 +232,7 @@ def test_log_expansion_family_satisfies_chain_rule(n):
 
 
 def test_short_family_satisfies_chain_rule_only_below_four():
-    from convpow.qcoeff import _q_list
-
-    qs = _q_list(4, 16)
+    qs = [q_via_recurrence(n, 16) for n in range(5)]
     lhs, _, rhs = _chain_rule_parts(qs, 3)
     assert all(lhs[i] == rhs[i] for i in range(3))
     lhs, _, rhs = _chain_rule_parts(qs, 4)

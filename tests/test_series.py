@@ -12,12 +12,9 @@ from convpow.series import (
     PowerSeriesInvX,
     backward_diff,
     harmonic_h,
-    harmonic_h_power,
     li1_power,
     logseries_eval,
-    nabla_ln,
     series_eval,
-    series_mul,
     shift_s,
 )
 
@@ -44,12 +41,12 @@ small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 def test_mul_identity_on_constants():
     one = PowerSeriesInvX.constant(1, 8)
-    assert series_mul(one, one) == one
+    assert one * one == one
 
 
 def test_mul_li1_squared_matches_brute_force():
     li1 = li1_power(1, 4)
-    got = series_mul(li1, li1)
+    got = li1 * li1
     assert got.coeffs == tuple(cauchy_brute(list(li1.coeffs), list(li1.coeffs)))
     # 2 * s(k,2)/k!: a_2 = 1, a_3 = 1, a_4 = 11/12
     assert got.coeffs[2:] == (F(1), F(1), F(11, 12))
@@ -59,12 +56,12 @@ def test_mul_truncates_cross_terms():
     n = 6
     e1 = PowerSeriesInvX([F(1) if k == 1 else F(0) for k in range(n + 1)])
     en = PowerSeriesInvX([F(1) if k == n else F(0) for k in range(n + 1)])
-    assert series_mul(e1, en) == PowerSeriesInvX.zero(n)
+    assert e1 * en == PowerSeriesInvX.zero(n)
 
 
 def test_mul_order_mismatch_rejected():
     with pytest.raises(ValueError):
-        series_mul(PowerSeriesInvX.zero(4), PowerSeriesInvX.zero(5))
+        PowerSeriesInvX.zero(4) * PowerSeriesInvX.zero(5)
     with pytest.raises(ValueError):
         PowerSeriesInvX.zero(4) + PowerSeriesInvX.zero(5)
 
@@ -76,7 +73,7 @@ def test_mul_order_mismatch_rejected():
 def test_mul_matches_brute_force(a, b):
     f = PowerSeriesInvX(a)
     g = PowerSeriesInvX(b)
-    assert list(series_mul(f, g).coeffs) == cauchy_brute(a, b)
+    assert list((f * g).coeffs) == cauchy_brute(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -117,62 +114,6 @@ def test_h_linearity(a, b, alpha, beta):
     hf, hg = harmonic_h(f), harmonic_h(g)
     assert lhs.part(0) == hf.part(0) * alpha + hg.part(0) * beta
     assert lhs.part(1) == hf.part(1) * alpha + hg.part(1) * beta
-
-
-# ---------------------------------------------------------------------------
-# iterated H
-
-
-def test_h_power_zero_is_identity():
-    g = li1_power(2, 9)
-    assert harmonic_h_power(g, 0) == LogSeries([g])
-
-
-def test_h_power_of_one_gives_log_powers():
-    n = 7
-    got = harmonic_h_power(PowerSeriesInvX.constant(1, n), 2)
-    assert got.degree == 2
-    assert got.part(0) == PowerSeriesInvX.zero(n)
-    assert got.part(1) == PowerSeriesInvX.zero(n)
-    assert got.part(2) == PowerSeriesInvX.constant(F(1, 2), n)
-
-
-def test_h_power_on_single_term():
-    n = 6
-    g = PowerSeriesInvX([F(1) if k == 2 else F(0) for k in range(n + 1)])
-    got = harmonic_h_power(g, 3)
-    assert got.part(0).coeffs[2] == F(-1, 8)
-    assert sum(1 for c in got.part(0).coeffs if c) == 1
-
-
-def test_h_power_matches_iterated_h():
-    """m-fold application of H, tracking only the pure part, for m <= 5.
-
-    Starting from a series with a_0 = 0 the iteration stays pure, so the
-    closed form must reproduce it exactly.
-    """
-    n = 10
-    g = li1_power(1, n) + li1_power(2, n) * F(3, 7)
-    for m in range(1, 6):
-        pure = g
-        for _ in range(m):
-            pure = harmonic_h(pure).part(0)
-        assert harmonic_h_power(g, m).part(0) == pure
-
-
-def test_h_power_constant_term_bookkeeping():
-    n = 5
-    g = PowerSeriesInvX.constant(F(3), n) + li1_power(1, n)
-    got = harmonic_h_power(g, 4)
-    assert got.part(4) == PowerSeriesInvX.constant(F(3, 24), n)
-    assert got.part(1) == PowerSeriesInvX.zero(n)
-    assert got.part(2) == PowerSeriesInvX.zero(n)
-    assert got.part(3) == PowerSeriesInvX.zero(n)
-
-
-def test_h_power_negative_rejected():
-    with pytest.raises(ValueError):
-        harmonic_h_power(PowerSeriesInvX.zero(4), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +182,7 @@ def test_nabla_shifts_abscissa():
 
 
 def test_nabla_ln_coefficients():
-    assert list(nabla_ln(3).coeffs) == [F(0), F(1), F(1, 2), F(1, 3)]
-    assert nabla_ln(9) == li1_power(1, 9)
+    assert list(li1_power(1, 3).coeffs) == [F(0), F(1), F(1, 2), F(1, 3)]
 
 
 def test_li1_power_basics():
@@ -261,7 +201,7 @@ def test_li1_power_leading_zeros():
 def test_li1_power_two_matches_cauchy_square():
     n = 14
     li1 = li1_power(1, n)
-    assert li1_power(2, n) == series_mul(li1, li1) * F(1, 2)
+    assert li1_power(2, n) == li1 * li1 * F(1, 2)
 
 
 # ---------------------------------------------------------------------------
