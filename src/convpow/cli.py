@@ -12,7 +12,9 @@ Subcommands expose the main computations and the verification suites:
 
 Output is a single JSON document by default (``--format csv`` emits the
 tabular part).  Exit status: 0 when every reported check passed, 1 when
-any failed, 2 for usage or domain errors.
+any failed, 2 for usage or domain errors.  A reader that closes the pipe
+early (``| head -1``) cuts the output short without a traceback; the exit
+status still reports the checks.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -288,18 +291,24 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    if cfg.fmt == "csv":
-        _emit_csv(results, checks, sys.stdout)
-    else:
-        payload = {
-            "command": args.command,
-            "config": asdict(cfg),
-            "results": results,
-            "checks": [asdict(c) for c in checks],
-            "elapsed_ms": round(elapsed_ms, 3),
-        }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    try:
+        if cfg.fmt == "csv":
+            _emit_csv(results, checks, sys.stdout)
+        else:
+            payload = {
+                "command": args.command,
+                "config": asdict(cfg),
+                "results": results,
+                "checks": [asdict(c) for c in checks],
+                "elapsed_ms": round(elapsed_ms, 3),
+            }
+            json.dump(payload, sys.stdout, indent=2)
+            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``).  Point stdout at devnull
+        # so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if all(c.ok for c in checks) else 1
 
 

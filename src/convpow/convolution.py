@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .fdecomp import f_eval
 from .quadrature import QuadratureError, adaptive_quad, cumulative_simpson_uniform
 from .series import DEFAULT_ORDER, DEFAULT_PREC
@@ -136,6 +134,8 @@ def f_from_conv(
 
 def _f_oracle_on_grid(n: int, y: float, panels: int) -> float:
     """One fixed-grid pass of the iterated-integral recurrence for f_n(y)."""
+    import numpy as np
+
     s = np.linspace(0.0, y, panels + 1)
     h = y / panels
     f = np.ones(panels + 1)

@@ -37,7 +37,9 @@ reflection and convolution identities from level 4 upward.  The
 
 Both recurrences build one level at a time: level n is cached per
 truncation order and computed from the cached level n - 1, so every
-level is built once however many callers ask for it.
+level is built once however many callers ask for it.  The full
+recurrence also builds each nabla[Q_k] and S[Q_k] = Q_k - nabla[Q_k]
+once per (level, order) and reuses them at every higher level.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from functools import lru_cache
 
 from .amatrix import compute_a_matrix
 from .combinatorics import binomial, stirling1_unsigned
-from .series import DEFAULT_ORDER, PowerSeriesInvX, backward_diff, harmonic_h, li1_power, shift_s
+from .series import DEFAULT_ORDER, PowerSeriesInvX, backward_diff, harmonic_h, li1_power
 
 
 def _neg_h_pure(arg: PowerSeriesInvX) -> PowerSeriesInvX:
@@ -132,7 +134,8 @@ def log_expansion_q_list(n_max: int, order: int = DEFAULT_ORDER) -> tuple[PowerS
     family starts 5/9 * x^{-3}).
 
     Only level n_max is built here; the lower levels are the cached
-    ``log_expansion_q_list(n_max - 1, order)``, shared element by element.
+    ``log_expansion_q_list(n_max - 1, order)``, shared element by element,
+    and nabla[Q_j] and S[Q_j] come from ``_nabla_and_shift``.
     """
     if n_max < 0:
         raise ValueError(f"log_expansion_q_list requires n_max >= 0, got {n_max}")
@@ -144,8 +147,16 @@ def log_expansion_q_list(n_max: int, order: int = DEFAULT_ORDER) -> tuple[PowerS
     if n_max == 1:
         return qs + (PowerSeriesInvX.zero(order),)  # Q_1 = 0 is initial data
     k = n_max - 1
-    bracket = li1_power(k, order)
-    for j in range(1, k):
-        bracket = bracket + shift_s(qs[j]) * li1_power(k - j, order)
-    bracket = bracket - backward_diff(qs[k])
+    bracket = -_nabla_and_shift(k, order)[0]
+    for j in range(k):
+        bracket = bracket + _nabla_and_shift(j, order)[1] * li1_power(k - j, order)
     return qs + (_neg_h_pure(bracket),)
+
+
+@lru_cache(maxsize=None)
+def _nabla_and_shift(k: int, order: int) -> tuple[PowerSeriesInvX, PowerSeriesInvX]:
+    """nabla[Q_k] and S[Q_k] = Q_k - nabla[Q_k] of the log expansion, built
+    once per (level, order) for every higher level to reuse."""
+    q = log_expansion_q_list(k, order)[k]
+    nabla = backward_diff(q)
+    return nabla, q - nabla

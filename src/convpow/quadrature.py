@@ -3,12 +3,17 @@
 Nothing in here knows about the exact series layer; these are the plain
 numerical building blocks the cross-checks are built from, kept separate
 so the oracles do not share code with what they validate.
+
+scipy and numpy are imported inside the functions that use them, so the
+series path never loads either.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy import integrate as _integrate
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class QuadratureError(RuntimeError):
@@ -25,6 +30,8 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, limit: int = 200) -
     """
     if b <= a:
         return 0.0
+    from scipy import integrate as _integrate
+
     result = _integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=limit, full_output=1)
     value, abserr = result[0], result[1]
     if len(result) > 3:
@@ -47,6 +54,8 @@ def cumulative_simpson_uniform(values: np.ndarray, h: float) -> np.ndarray:
     standard three-point half-panel correction, keeping O(h^4) accuracy at
     every node rather than only at even ones.  Needs at least 3 samples.
     """
+    import numpy as np
+
     g = np.asarray(values, dtype=float)
     m = g.shape[0]
     if m < 3:

@@ -20,9 +20,12 @@ The operators implemented here:
 
 The Cauchy product is ``PowerSeriesInvX.__mul__``.
 
-Evaluation keeps partial sums as exact integers (Horner on a common
-denominator) and converts to an mpmath float once, at the end.  Each
-evaluation carries a geometric-ratio tail estimate for the truncated
+The Cauchy product, the backward difference and evaluation all run on a
+series' integer coefficients over one common denominator (the layout of
+FLINT's ``fmpq_poly``): the product and the difference reduce each output
+coefficient to lowest terms once, and evaluation keeps partial sums as
+exact integers (Horner) and converts to an mpmath float once, at the end.
+Each evaluation carries a geometric-ratio tail estimate for the truncated
 remainder, flagged unreliable when the last coefficient ratio does not
 support a geometric model at the requested point.
 """
@@ -30,13 +33,15 @@ support a geometric model at the requested point.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Union
 
 import mpmath
 
-from .combinatorics import binomial, stirling1_unsigned
+from .combinatorics import stirling1_unsigned
 
 #: Default truncation order (highest retained power of 1/x).
 DEFAULT_ORDER = 64
@@ -81,13 +86,31 @@ class PowerSeriesInvX:
     __slots__ = ("coeffs", "conv_abscissa", "_scaled")
 
     def __init__(self, coeffs: Iterable[Rational], conv_abscissa: Rational = 1):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("a series needs at least its constant coefficient")
         self.conv_abscissa = Fraction(conv_abscissa)
         if self.conv_abscissa < 1:
             raise ValueError(f"conv_abscissa must be >= 1, got {self.conv_abscissa}")
         self._scaled = None  # lazy (common_denominator, scaled_int_coeffs)
+
+    @classmethod
+    def _from_scaled(cls, den: int, ints, conv_abscissa: Fraction) -> "PowerSeriesInvX":
+        """The series with coefficients ints[k] / den, each reduced once.
+
+        Dividing out the gcd of den and every ints[k] leaves the least
+        common denominator, so the cached scaled form is the one
+        ``_scaled_coeffs`` would compute.
+        """
+        g = math.gcd(den, *ints)
+        if g > 1:
+            den //= g
+            ints = [c // g for c in ints]
+        self = cls.__new__(cls)
+        self.coeffs = tuple(Fraction(c, den) for c in ints)
+        self.conv_abscissa = conv_abscissa
+        self._scaled = (den, tuple(ints))
+        return self
 
     @classmethod
     def zero(cls, order: int, conv_abscissa: Rational = 1) -> "PowerSeriesInvX":
@@ -121,7 +144,7 @@ class PowerSeriesInvX:
             den = 1
             for c in self.coeffs:
                 den = den * c.denominator // math.gcd(den, c.denominator)
-            self._scaled = (den, tuple(int(c * den) for c in self.coeffs))
+            self._scaled = (den, tuple(c.numerator * (den // c.denominator) for c in self.coeffs))
         return self._scaled
 
     def __add__(self, other: "PowerSeriesInvX") -> "PowerSeriesInvX":
@@ -148,16 +171,12 @@ class PowerSeriesInvX:
     def __mul__(self, other) -> "PowerSeriesInvX":
         if isinstance(other, PowerSeriesInvX):
             self._require_same_order(other)
+            da, a = self._scaled_coeffs()
+            db, b = other._scaled_coeffs()
+            rb = b[::-1]
             n = self.order
-            prod = [Fraction(0)] * (n + 1)
-            for i, ai in enumerate(self.coeffs):
-                if not ai:
-                    continue
-                for j in range(n - i + 1):
-                    bj = other.coeffs[j]
-                    if bj:
-                        prod[i + j] += ai * bj
-            return PowerSeriesInvX(prod, max(self.conv_abscissa, other.conv_abscissa))
+            prod = [sum(map(operator.mul, a[: k + 1], rb[n - k :])) for k in range(n + 1)]
+            return PowerSeriesInvX._from_scaled(da * db, prod, max(self.conv_abscissa, other.conv_abscissa))
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             return PowerSeriesInvX((c * a for a in self.coeffs), self.conv_abscissa)
@@ -255,27 +274,30 @@ def backward_diff(g: PowerSeriesInvX) -> PowerSeriesInvX:
     """g(x) - g(x-1), re-expanded as a series in 1/x.
 
     Constants are annihilated and the x^{-1} coefficient is always 0; the
-    coefficient at x^{-k} for k >= 2 is -sum_{r=1}^{k-1} C(k-1, r) a_{k-r}.
+    coefficient at x^{-k} for k >= 2 is -sum_{r=1}^{k-1} C(k-1, r) a_{k-r},
+    i.e. -sum_{i=1}^{k-1} C(k-1, i-1) a_i, summed on the scaled integers
+    against one Pascal row per k.
     The expansion of 1/(x-1)^j around infinity converges only for x > 1
     over what g needed, hence the abscissa shift.
     """
+    den, a = g._scaled_coeffs()
     n = g.order
-    out = [Fraction(0)] * (n + 1)
+    out = [0] * (n + 1)
+    row = [1]  # C(k-1, 0..k-1)
     for k in range(2, n + 1):
-        acc = Fraction(0)
-        for r in range(1, k):
-            a = g.coeffs[k - r]
-            if a:
-                acc += binomial(k - 1, r) * a
-        out[k] = -acc
-    return PowerSeriesInvX(out, g.conv_abscissa + 1)
+        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
+        out[k] = -sum(map(operator.mul, row, a[1:k]))
+    return PowerSeriesInvX._from_scaled(den, out, g.conv_abscissa + 1)
 
 
+@lru_cache(maxsize=None)
 def li1_power(n: int, order: int = DEFAULT_ORDER) -> PowerSeriesInvX:
     """(1/n!) * Li_1(1/x)^n, exactly: the x^{-k} coefficient is s(k, n)/k!.
 
     s(k, n) is the unsigned Stirling number of the first kind; the n = 0
     case is the constant series 1 and the n = 1 case is Li_1 itself.
+    Cached per (n, order): the log expansion multiplies by the same powers
+    at every level.
     """
     if n < 0:
         raise ValueError(f"li1_power requires n >= 0, got n={n}")

@@ -2,11 +2,18 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import convpow.cli as cli
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_json(capsys, argv):
@@ -178,3 +185,47 @@ def test_config_validation(capsys):
     assert cli.main(["beta", "1", "-N", "4"]) == 2
     assert cli.main(["beta", "1", "--tol", "-1"]) == 2
     assert cli.main(["beta", "1", "--prec", "8"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["eval", "6", "3.7", "--skip-oracles"], ["verify", "table1"]])
+def test_closed_stdout_pipe(argv):
+    # The pipe's read end is closed before the child starts, so its first
+    # write meets a closed pipe every time, as under `| head -1` at worst.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "convpow.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=CHILD_ENV, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+
+
+IMPORT_GRAPH = """
+import contextlib, io, json, sys
+import convpow
+from convpow import cli
+
+def loaded():
+    return sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+
+with contextlib.redirect_stdout(io.StringIO()):
+    series_rc = cli.main(["eval", "6", "3.7", "--skip-oracles"])
+    series_loaded = loaded()
+    oracle_rc = cli.main(["verify", "oracle"])
+print(json.dumps([series_rc, series_loaded, oracle_rc, loaded()]))
+"""
+
+
+def test_series_path_loads_neither_numpy_nor_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH], capture_output=True, env=CHILD_ENV, text=True, timeout=300, check=True
+    )
+    series_rc, series_loaded, oracle_rc, oracle_loaded = json.loads(proc.stdout)
+    assert (series_rc, series_loaded) == (0, [])
+    # the oracles still run on numpy and scipy
+    assert (oracle_rc, oracle_loaded) == (0, ["numpy", "scipy"])

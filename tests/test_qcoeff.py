@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from convpow import qcoeff, series
 from convpow.combinatorics import binomial, stirling1_unsigned
 from convpow.qcoeff import _neg_h_pure, log_expansion_q_list, q_closed_form, q_via_recurrence
-from convpow.series import PowerSeriesInvX, li1_power, shift_s
+from convpow.series import PowerSeriesInvX, backward_diff, li1_power, shift_s
 
 F = Fraction
 
@@ -154,6 +155,23 @@ def test_each_level_is_built_once():
     assert q_via_recurrence(10, 64) is top
     assert all(q_via_recurrence(n, 64) is q_via_recurrence(n, 64) for n in range(1, 10))
     assert q_via_recurrence.cache_info().misses == 10
+
+
+def test_each_nabla_is_built_once(monkeypatch):
+    for module in (series, qcoeff):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return backward_diff(g)
+
+    monkeypatch.setattr(series, "backward_diff", counting)
+    monkeypatch.setattr(qcoeff, "backward_diff", counting)
+    log_expansion_q_list(10, 64)
+    assert len(calls) == 10  # nabla Q_0 .. nabla Q_9, once each
 
 
 def test_log_expansion_coefficients_frozen():

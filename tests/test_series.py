@@ -178,6 +178,41 @@ def test_nabla_shifts_abscissa():
 
 
 # ---------------------------------------------------------------------------
+# the integer kernels against plain Fraction arithmetic
+
+# zero, negative and mixed-denominator coefficients
+kernel_coeffs = st.one_of(st.just(F(0)), st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4))
+abscissas = st.fractions(min_value=1, max_value=20, max_denominator=7)
+
+
+@st.composite
+def series_pairs(draw):
+    order = draw(st.integers(0, 20))
+    coeff_lists = st.lists(kernel_coeffs, min_size=order + 1, max_size=order + 1)
+    return [PowerSeriesInvX(draw(coeff_lists), draw(abscissas)) for _ in range(2)]
+
+
+def nabla_brute(a):
+    """Reference backward difference on Fractions, straight from the formula."""
+    return [-sum((binomial(k - 1, r) * a[k - r] for r in range(1, k)), F(0)) for k in range(len(a))]
+
+
+def assert_exact(got, coeffs, abscissa):
+    assert got.coeffs == tuple(coeffs)
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert got.conv_abscissa == abscissa
+    # the scaled form a kernel caches is the one a fresh series computes
+    assert got._scaled_coeffs() == PowerSeriesInvX(got.coeffs)._scaled_coeffs()
+
+
+@given(series_pairs())
+def test_integer_kernels_match_fraction_reference(pair):
+    f, g = pair
+    assert_exact(f * g, cauchy_brute(list(f.coeffs), list(g.coeffs)), max(f.conv_abscissa, g.conv_abscissa))
+    assert_exact(backward_diff(f), nabla_brute(list(f.coeffs)), f.conv_abscissa + 1)
+
+
+# ---------------------------------------------------------------------------
 # Li_1 and its powers
 
 
