@@ -22,6 +22,19 @@ starting from beta_0 = 1.  beta_1 = 0 falls out exactly since
 J[1](1) = ln(1) = 0 (the only evaluation at x = 1 the recurrence ever
 needs, special-cased below; everything else requires x > 1).
 
+How a point is evaluated.  Every part of every J-iterate is one of the
+same few series: part j of J^m is the scalar multiple (-1)^i Q_i / j! of
+Q_i, with i = m - j, and remembers that it is.  ``beta_table`` and
+``FEvaluator.eval`` evaluate J^0..J^n at one point x = p/q through one
+``series._Point``: each non-constant Q_i runs one exact integer Horner
+there, and every part's Horner sum is Q_i's, multiplied and divided
+exactly by the integers of its scale.  The powers of p, x^(-N), ln x and
+its powers and each tail model are also computed once per point.  The
+float operations that follow are those of evaluating each part and
+iterate on its own, in the same order, so every value, tail estimate and
+reliability flag is what it was when every part ran its own Horner, at
+n - 1 Horners per point instead of n(n+3)/2.
+
 Everything here is evaluated, not symbolic: beta values are mpmath floats
 carrying accumulated truncation-tail estimates, and the residual helpers
 (`derivative_residual`, `reflection_residual`) quantify how well the
@@ -45,6 +58,8 @@ from .series import (
     EvalResult,
     LogSeries,
     _exact,
+    _point,
+    _Point,
     _to_mpf,
     logseries_eval,
 )
@@ -55,7 +70,9 @@ def build_j_iterate(n: int, order: int = DEFAULT_ORDER) -> LogSeries:
     """Assemble J^n[1] from the log-expansion Q-series: part j of the
     ln-polynomial is (-1)^{n-j} Q_{n-j} / j!.
 
-    Uses :func:`convpow.qcoeff.log_expansion_q_list` (the full-recurrence
+    Each part is a scalar multiple of its Q-series, so the parts of all
+    iterates evaluated at one point share that series' Horner sum.  Uses
+    :func:`convpow.qcoeff.log_expansion_q_list` (the full-recurrence
     family), which is the one consistent with the operator's derivative
     identity at every level; see the `qcoeff` module docstring.
     """
@@ -71,15 +88,16 @@ def build_j_iterate(n: int, order: int = DEFAULT_ORDER) -> LogSeries:
 
 
 def _eval_j(m: int, x, order: int, prec: int) -> EvalResult:
-    """Evaluate J^m[1] at x.  Exact shortcut for the x = 1, m = 1 case."""
+    """Evaluate J^m[1] at x, a number or the ``_Point`` the other iterates at
+    that point share.  Exact shortcut for the x = 1, m = 1 case."""
     if m == 0:
         return EvalResult(mpmath.mpf(1), mpmath.mpf(0), True)
-    xf = _exact(x)
-    if m == 1 and xf == 1:
+    at = _point(x)
+    if m == 1 and at.x == 1:
         return EvalResult(mpmath.mpf(0), mpmath.mpf(0), True)
-    if xf <= 1:
-        raise ValueError(f"J-iterates with m >= 1 need x > 1, got x={xf}")
-    return logseries_eval(build_j_iterate(m, order), xf, prec)
+    if at.x <= 1:
+        raise ValueError(f"J-iterates with m >= 1 need x > 1, got x={at.x}")
+    return logseries_eval(build_j_iterate(m, order), at, prec)
 
 
 @dataclass(frozen=True)
@@ -110,10 +128,11 @@ def beta_table(n_max: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC)
     tails = [mpmath.mpf(0)]
     with mpmath.workprec(prec):
         for n in range(1, n_max + 1):
+            at = _Point(Fraction(n))
             acc = mpmath.mpf(0)
             acc_tail = mpmath.mpf(0)
             for k in range(n):
-                r = _eval_j(n - k, n, order, prec)
+                r = _eval_j(n - k, at, order, prec)
                 acc += values[k] * r.value
                 acc_tail += abs(values[k]) * r.tail_estimate + tails[k] * abs(r.value)
             values.append(-acc)
@@ -137,13 +156,13 @@ class FEvaluator:
             raise ValueError(f"f is only defined for y >= 0, got y={yf}")
         if self.n == 0:
             return EvalResult(mpmath.mpf(1), mpmath.mpf(0), True)
-        x = yf + self.n
+        at = _Point(yf + self.n)
         with mpmath.workprec(self.prec):
             value = mpmath.mpf(0)
             tail = mpmath.mpf(0)
             reliable = True
             for k in range(self.n + 1):
-                r = _eval_j(self.n - k, x, self.order, self.prec)
+                r = _eval_j(self.n - k, at, self.order, self.prec)
                 value += self.betas.values[k] * r.value
                 tail += abs(self.betas.values[k]) * r.tail_estimate
                 tail += self.betas.tails[k] * abs(r.value)
@@ -202,15 +221,20 @@ def reflection_residual(
         int_0^y f_n(s)/(y - s + 1) ds = (n + 1) * int_0^y f_n(s)/(s + n + 1) ds,
 
     with both sides computed by adaptive quadrature over the evaluated f_n.
+    Both quadratures sample the same nodes, so f_n is evaluated once per
+    node for the duration of the call.
     """
     if n < 0:
         raise ValueError(f"f index must be >= 0, got n={n}")
     if y < 0:
         raise ValueError(f"upper limit must be >= 0, got y={y}")
     ev = make_f_evaluator(n, order, prec)
+    seen: dict[float, float] = {}
 
     def f_of(s: float) -> float:
-        return float(ev.eval(s).value)
+        if s not in seen:
+            seen[s] = float(ev.eval(s).value)
+        return seen[s]
 
     lhs = adaptive_quad(lambda s: f_of(s) / (y - s + 1.0), 0.0, y, tol)
     rhs = adaptive_quad(lambda s: f_of(s) / (s + n + 1.0), 0.0, y, tol)

@@ -20,14 +20,23 @@ The operators implemented here:
 
 The Cauchy product is ``PowerSeriesInvX.__mul__``.
 
-The Cauchy product, the backward difference and evaluation all run on a
-series' integer coefficients over one common denominator (the layout of
-FLINT's ``fmpq_poly``): the product and the difference reduce each output
-coefficient to lowest terms once, and evaluation keeps partial sums as
-exact integers (Horner) and converts to an mpmath float once, at the end.
-Each evaluation carries a geometric-ratio tail estimate for the truncated
-remainder, flagged unreliable when the last coefficient ratio does not
-support a geometric model at the requested point.
+Sums, differences, negation, scalar and Cauchy products, the backward
+difference and evaluation all run on a series' integer coefficients over
+one common denominator (the layout of FLINT's ``fmpq_poly``): each
+operator reduces its output to lowest terms once, and evaluation keeps
+partial sums as exact integers (Horner) and converts to an mpmath float
+once, at the end.  Each evaluation carries a geometric-ratio tail estimate
+for the truncated remainder, flagged unreliable when the last coefficient
+ratio does not support a geometric model at the requested point.
+
+``series_eval`` and ``logseries_eval`` take a number or a prepared point
+(``_Point``) that several evaluations share.  A series made by negation or
+a scalar product remembers the series it multiplies (its root), and at a
+shared point all multiples of one root cost one exact Horner (``_horner``):
+a multiple's sum is the root's times an exact integer ratio, so the float
+that follows is the one its own Horner would give.  The f_n evaluator in
+`fdecomp` evaluates all J-iterates at a point this way, since every part of
+every iterate is a multiple of one Q-series.
 """
 
 from __future__ import annotations
@@ -83,7 +92,7 @@ class PowerSeriesInvX:
     sums take the max).  Equality compares coefficients only.
     """
 
-    __slots__ = ("coeffs", "conv_abscissa", "_scaled")
+    __slots__ = ("coeffs", "conv_abscissa", "_scaled", "_multiple", "_floats")
 
     def __init__(self, coeffs: Iterable[Rational], conv_abscissa: Rational = 1):
         self.coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
@@ -93,14 +102,17 @@ class PowerSeriesInvX:
         if self.conv_abscissa < 1:
             raise ValueError(f"conv_abscissa must be >= 1, got {self.conv_abscissa}")
         self._scaled = None  # lazy (common_denominator, scaled_int_coeffs)
+        self._multiple = None  # (root, num, div): scaled ints are root's * num / div
+        self._floats = None  # lazy {prec: what evaluation needs at prec}
 
     @classmethod
-    def _from_scaled(cls, den: int, ints, conv_abscissa: Fraction) -> "PowerSeriesInvX":
+    def _from_scaled(cls, den: int, ints, conv_abscissa: Fraction, multiple=None) -> "PowerSeriesInvX":
         """The series with coefficients ints[k] / den, each reduced once.
 
         Dividing out the gcd of den and every ints[k] leaves the least
         common denominator, so the cached scaled form is the one
-        ``_scaled_coeffs`` would compute.
+        ``_scaled_coeffs`` would compute.  ``multiple`` = (root, num, div)
+        says that ints are root's scaled integers times num / div.
         """
         g = math.gcd(den, *ints)
         if g > 1:
@@ -110,6 +122,8 @@ class PowerSeriesInvX:
         self.coeffs = tuple(Fraction(c, den) for c in ints)
         self.conv_abscissa = conv_abscissa
         self._scaled = (den, tuple(ints))
+        self._multiple = None if multiple is None else (multiple[0], multiple[1], multiple[2] * g)
+        self._floats = None
         return self
 
     @classmethod
@@ -147,26 +161,52 @@ class PowerSeriesInvX:
             self._scaled = (den, tuple(c.numerator * (den // c.denominator) for c in self.coeffs))
         return self._scaled
 
-    def __add__(self, other: "PowerSeriesInvX") -> "PowerSeriesInvX":
+    def _scaled_by(self, num: int):
+        """(root, num', div) with this series' scaled integers times num equal
+        to root's times num' / div; root is the series this one is a scalar
+        multiple of, or the series itself."""
+        root, n, div = self._multiple or (self, 1, 1)
+        return root, n * num, div
+
+    def _eval_floats(self, prec: int):
+        """(value of a constant series or None, mpf(D), mpf(|a_N|), tail
+        ratio) at precision prec: what evaluation needs besides the integers
+        and the point, cached per precision."""
+        if self._floats is None:
+            self._floats = {}
+        got = self._floats.get(prec)
+        if got is None:
+            with mpmath.workprec(prec):
+                if self.is_constant:
+                    got = (_to_mpf(self.coeffs[0]), None, None, None)
+                else:
+                    den, _ = self._scaled_coeffs()
+                    got = (None, mpmath.mpf(den), _to_mpf(abs(self.coeffs[-1])), _tail_ratio(self.coeffs))
+            self._floats[prec] = got
+        return got
+
+    def _combine(self, other: "PowerSeriesInvX", sign: int) -> "PowerSeriesInvX":
+        """self + sign * other on the scaled integers, over the lcm of both denominators."""
         if not isinstance(other, PowerSeriesInvX):
             return NotImplemented
         self._require_same_order(other)
-        return PowerSeriesInvX(
-            (a + b for a, b in zip(self.coeffs, other.coeffs)),
-            max(self.conv_abscissa, other.conv_abscissa),
+        da, a = self._scaled_coeffs()
+        db, b = other._scaled_coeffs()
+        den = da * db // math.gcd(da, db)
+        ua, ub = den // da, sign * (den // db)
+        return PowerSeriesInvX._from_scaled(
+            den, [x * ua + y * ub for x, y in zip(a, b)], max(self.conv_abscissa, other.conv_abscissa)
         )
+
+    def __add__(self, other: "PowerSeriesInvX") -> "PowerSeriesInvX":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "PowerSeriesInvX") -> "PowerSeriesInvX":
-        if not isinstance(other, PowerSeriesInvX):
-            return NotImplemented
-        self._require_same_order(other)
-        return PowerSeriesInvX(
-            (a - b for a, b in zip(self.coeffs, other.coeffs)),
-            max(self.conv_abscissa, other.conv_abscissa),
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "PowerSeriesInvX":
-        return PowerSeriesInvX((-c for c in self.coeffs), self.conv_abscissa)
+        den, a = self._scaled_coeffs()
+        return PowerSeriesInvX._from_scaled(den, [-c for c in a], self.conv_abscissa, self._scaled_by(-1))
 
     def __mul__(self, other) -> "PowerSeriesInvX":
         if isinstance(other, PowerSeriesInvX):
@@ -179,7 +219,10 @@ class PowerSeriesInvX:
             return PowerSeriesInvX._from_scaled(da * db, prod, max(self.conv_abscissa, other.conv_abscissa))
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return PowerSeriesInvX((c * a for a in self.coeffs), self.conv_abscissa)
+            den, a = self._scaled_coeffs()
+            return PowerSeriesInvX._from_scaled(
+                den * c.denominator, [x * c.numerator for x in a], self.conv_abscissa, self._scaled_by(c.numerator)
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -332,63 +375,167 @@ def shift_s(g):
     return LogSeries([s0 - s1 * li1_power(1, g.order), s1])
 
 
+def _int_powers(p: int, n: int) -> list[int]:
+    """p^0, p^1, ..., p^n."""
+    powers = [1] * (n + 1)
+    for k in range(1, n + 1):
+        powers[k] = powers[k - 1] * p
+    return powers
+
+
+def _horner(ints, q: int, ppow) -> int:
+    """Exact Horner sum of ints[k] * p^(N-k) * q^k, k = 0..N, from ppow = p^0..p^N.
+
+    With ints the scaled coefficients D*a_k of a series and x = p/q, the
+    series' partial sum at x is this integer over D * p^N.
+    """
+    n = len(ints) - 1
+    acc = ints[n]
+    for k in range(n - 1, -1, -1):
+        acc = acc * q + ints[k] * ppow[n - k]
+    return acc
+
+
+def _tail_ratio(coeffs) -> Fraction | None:
+    """|a_N / a_{N-1}| of the geometric tail model (1 when a_{N-1} = 0), or
+    None when a_N = 0 and the model puts no tail at all."""
+    a_last, a_prev = coeffs[-1], coeffs[-2]
+    if a_last == 0:
+        return None
+    return abs(a_last / a_prev) if a_prev else Fraction(1)
+
+
+class _Point:
+    """An evaluation point x = p/q, prepared once for every series evaluated
+    at it.
+
+    It keeps the powers of p and, per precision, p^N, x^(-N) and the powers
+    of ln x.  It also keeps each series' exact Horner sum and tail model
+    under the series it is a scalar multiple of (its root), so all scalar
+    multiples of one series cost one Horner: a multiple's sum is the root's
+    times num / div, exactly, and its tail ratio is the root's.  A point
+    lives for one evaluation; nothing is kept beyond it.
+    """
+
+    __slots__ = ("x", "_powers", "_floats", "_weights", "_sums", "_terms")
+
+    def __init__(self, xf: Fraction):
+        self.x = xf
+        self._powers = {}  # N -> p^0..p^N
+        self._floats = {}  # (N, prec) -> (mpf(p^N), x^(-N))
+        self._weights = {}  # prec -> ([ln(x)^j], [|ln(x)|^j], ln(x))
+        self._sums = {}  # id(root) -> (root, exact Horner sum)
+        self._terms = {}  # (id(root), num, div, prec) -> terms(), shared by equal scales
+
+    def powers(self, n: int) -> list[int]:
+        ppow = self._powers.get(n)
+        if ppow is None:
+            ppow = self._powers[n] = _int_powers(self.x.numerator, n)
+        return ppow
+
+    def floats(self, n: int, prec: int):
+        got = self._floats.get((n, prec))
+        if got is None:
+            with mpmath.workprec(prec):
+                got = self._floats[n, prec] = (mpmath.mpf(self.powers(n)[n]), _to_mpf(self.x) ** (-n))
+        return got
+
+    def ln_weights(self, degree: int, prec: int):
+        """ln(x)^0..ln(x)^degree by repeated products, and their absolute values."""
+        got = self._weights.get(prec)
+        if got is None:
+            with mpmath.workprec(prec):
+                got = self._weights[prec] = ([mpmath.mpf(1)], [mpmath.mpf(1)], mpmath.log(_to_mpf(self.x)))
+        weights, abs_weights, lnx = got
+        if len(weights) <= degree:
+            with mpmath.workprec(prec):
+                while len(weights) <= degree:
+                    weights.append(weights[-1] * lnx)
+                    abs_weights.append(abs(weights[-1]))
+        return weights, abs_weights
+
+    def terms(self, g: PowerSeriesInvX, ratio: Fraction | None, prec: int):
+        """(mpf of g's exact Horner sum, reliable, 1 - rho) at precision prec.
+
+        The root is range-checked against its convergence abscissa, which
+        its scalar multiples share.  The tail model: rho = max(ratio, 1) / x
+        decays when rho < 1 (the reliability flag), and rho is capped below
+        1 before 1 - rho is converted; the tail estimate is then
+        |a_N| * x^(-N) / (1 - rho).  With no ratio (a_N = 0) there is no
+        tail, and 1 - rho is None.
+        """
+        root, num, div = g._scaled_by(1)
+        key = (id(root), num, div, prec)
+        got = self._terms.get(key)
+        if got is None:
+            summed = self._sums.get(id(root))
+            if summed is None:
+                if self.x < root.conv_abscissa:
+                    raise ValueError(
+                        f"evaluation point {self.x} is below the convergence abscissa {root.conv_abscissa}"
+                    )
+                ints = root._scaled_coeffs()[1]
+                summed = self._sums[id(root)] = (root, _horner(ints, self.x.denominator, self.powers(root.order)))
+            reliable, one_minus_rho = True, None
+            if ratio is not None:
+                rho = max(ratio, Fraction(1)) / self.x
+                reliable = rho < 1
+                rho = min(rho, _TAIL_RATIO_CAP)
+            with mpmath.workprec(prec):
+                if ratio is not None:
+                    one_minus_rho = _to_mpf(1 - rho)
+                got = self._terms[key] = (mpmath.mpf(summed[1] * num // div), reliable, one_minus_rho)
+        return got
+
+
+def _point(x) -> _Point:
+    return x if isinstance(x, _Point) else _Point(_exact(x))
+
+
 def series_eval(g: PowerSeriesInvX, x, prec: int = DEFAULT_PREC) -> EvalResult:
     """Evaluate g at x >= conv_abscissa.
 
     The partial sum is accumulated exactly: with D the common denominator
     of the coefficients and x = p/q in lowest terms, Horner's rule runs on
-    integers and the single division happens at float precision ``prec``.
-    Constant series evaluate anywhere (the point is not even range-checked,
-    matching the convention that degree-0 data has no singularity).
+    integers (``_horner``) and the single division happens at float
+    precision ``prec``.  Constant series evaluate anywhere (the point is not
+    even range-checked, matching the convention that degree-0 data has no
+    singularity).  Inside the package x may also be a ``_Point`` shared by
+    several evaluations, which then share its powers, Horner sums and tail
+    models.
     """
-    xf = _exact(x)
-    if g.is_constant:
-        with mpmath.workprec(prec):
-            return EvalResult(_to_mpf(g.coeffs[0]), mpmath.mpf(0), True)
-    if xf < g.conv_abscissa:
-        raise ValueError(
-            f"evaluation point {xf} is below the convergence abscissa {g.conv_abscissa}"
-        )
-    den, ints = g._scaled_coeffs()
-    p, q = xf.numerator, xf.denominator
-    n = g.order
-    ppow = [1] * (n + 1)
-    for i in range(1, n + 1):
-        ppow[i] = ppow[i - 1] * p
-    acc = ints[n]
-    for k in range(n - 1, -1, -1):
-        acc = acc * q + ints[k] * ppow[n - k]
-    a_last = g.coeffs[n]
-    a_prev = g.coeffs[n - 1]
+    at = _point(x)
+    constant, den, abs_last, ratio = g._eval_floats(prec)
+    if constant is not None:
+        return EvalResult(constant, mpmath.mpf(0), True)
+    numerator, reliable, one_minus_rho = at.terms(g, ratio, prec)
+    p_n, x_pow = at.floats(g.order, prec)
     with mpmath.workprec(prec):
-        value = mpmath.mpf(acc) / (mpmath.mpf(den) * mpmath.mpf(ppow[n]))
-        if a_last == 0:
-            tail = mpmath.mpf(0)
-            reliable = True
-        else:
-            ratio = abs(a_last / a_prev) if a_prev else Fraction(1)
-            rho = max(ratio, Fraction(1)) / xf
-            reliable = rho < 1
-            rho = min(rho, _TAIL_RATIO_CAP)
-            tail = _to_mpf(abs(a_last)) * _to_mpf(xf) ** (-n) / _to_mpf(1 - rho)
+        value = numerator / (den * p_n)
+        tail = mpmath.mpf(0) if one_minus_rho is None else abs_last * x_pow / one_minus_rho
     return EvalResult(value, tail, reliable)
 
 
 def logseries_eval(g: LogSeries, x, prec: int = DEFAULT_PREC) -> EvalResult:
-    """Evaluate a LogSeries; tails of the parts combine with |ln x|^j weights."""
-    xf = _exact(x)
-    if g.degree >= 1 and xf <= 0:
-        raise ValueError(f"ln(x) requires x > 0, got {xf}")
+    """Evaluate a LogSeries; tails of the parts combine with |ln x|^j weights.
+
+    x may be a ``_Point`` as in ``series_eval``; the J-iterates of one f_n
+    value share one, so each Q-series is summed once per point.
+    """
+    at = _point(x)
+    if g.degree >= 1 and at.x <= 0:
+        raise ValueError(f"ln(x) requires x > 0, got {at.x}")
+    if g.degree >= 1:
+        weights, abs_weights = at.ln_weights(g.degree, prec)
+    else:
+        weights = abs_weights = (mpmath.mpf(1),)
     with mpmath.workprec(prec):
         value = mpmath.mpf(0)
         tail = mpmath.mpf(0)
         reliable = True
-        lnx = mpmath.log(_to_mpf(xf)) if g.degree >= 1 else mpmath.mpf(0)
-        weight = mpmath.mpf(1)
-        for part in g.parts:
-            r = series_eval(part, xf, prec)
+        for part, weight, abs_weight in zip(g.parts, weights, abs_weights):
+            r = series_eval(part, at, prec)
             value += r.value * weight
-            tail += r.tail_estimate * abs(weight)
+            tail += r.tail_estimate * abs_weight
             reliable = reliable and r.tail_reliable
-            weight *= lnx
     return EvalResult(value, tail, reliable)

@@ -1,9 +1,11 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from convpow import fdecomp, series
 from convpow.fdecomp import (
     BetaTable,
     FEvaluator,
@@ -15,7 +17,7 @@ from convpow.fdecomp import (
     make_f_evaluator,
     reflection_residual,
 )
-from convpow.series import LogSeries, PowerSeriesInvX
+from convpow.series import LogSeries, PowerSeriesInvX, logseries_eval
 
 F = Fraction
 
@@ -70,6 +72,21 @@ def test_j_eval_domain():
         _eval_j(2, 1, 16, 64)
     with pytest.raises(ValueError):
         build_j_iterate(-1, 8)
+
+
+def test_iterates_at_a_shared_point_match_each_part_on_its_own():
+    # J^6..J^1 through one point (each Q_i summed once, every part rescaled
+    # from it) give the floats of every part running its own Horner
+    for order, prec in ((64, 128), (24, 80)):
+        for x in (F(13, 2), 10.1, 1e6):
+            at = series._Point(F(x))
+            for m in range(6, 0, -1):
+                got = _eval_j(m, at, order, prec)
+                parts = [PowerSeriesInvX(p.coeffs, p.conv_abscissa) for p in build_j_iterate(m, order).parts]
+                want = logseries_eval(LogSeries(parts), F(x), prec)
+                assert got.value._mpf_ == want.value._mpf_, (order, m, x)
+                assert got.tail_estimate._mpf_ == want.tail_estimate._mpf_, (order, m, x)
+                assert got.tail_reliable == want.tail_reliable
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +201,40 @@ def test_evaluator_is_reusable():
     assert a.value == b.value
 
 
+# f_n(y) for n = 0..10 at two (order, prec) settings, each line the exact
+# mantissa and exponent (mpf._mpf_) of value and tail plus the flag; repr at
+# mpmath's default 53 bits would hide the low bits.  Frozen from the
+# evaluator that ran every J-iterate part as its own series_eval.
+FROZEN_YS = (0, 0.25, 0.1, 1, 7.5, 19.75)
+FROZEN_F_SHA256 = "1a7c5b3c4f9c3bffa093112743c08cefd9c158e5e98f1e61af94c8230343a55a"
+FROZEN_F_SAMPLES = {
+    (64, 128, 10, 0.25): "(0, 99552587312978949220067, -134, 77) (0, 65785207586156964175948883212074181145, -161, 126) True",
+    (40, 96, 7, 0.1): "(1, 221537316256818857, -97, 58) (0, 30032898156488870749250952393, -123, 95) True",
+}
+
+
+def test_f_values_frozen():
+    lines = {}
+    for order, prec in ((64, 128), (40, 96)):
+        for n in range(11):
+            for y in FROZEN_YS:
+                r = f_eval(n, y, order, prec)
+                lines[order, prec, n, y] = f"{r.value._mpf_!r} {r.tail_estimate._mpf_!r} {r.tail_reliable}"
+    for key, want in FROZEN_F_SAMPLES.items():
+        assert lines[key] == want, key
+    text = "\n".join(f"{o} {p} {n} {y!r} {line}" for (o, p, n, y), line in lines.items())
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_F_SHA256
+
+
+def test_each_q_series_is_evaluated_once_per_point(monkeypatch):
+    make_f_evaluator(9)  # warm: J-iterates and betas built
+    calls = []
+    horner = series._horner
+    monkeypatch.setattr(series, "_horner", lambda *args: calls.append(args) or horner(*args))
+    f_eval(9, 2.5)
+    assert len(calls) == 8  # Q_2..Q_9; Q_0 = 1 and Q_1 = 0 are constants
+
+
 # ---------------------------------------------------------------------------
 # defining identities
 
@@ -213,6 +264,22 @@ def test_reflection_identity_examples():
     assert reflection_residual(0, 2) <= 1e-9
     assert reflection_residual(1, 2) <= 1e-8
     assert reflection_residual(3, 5) <= 1e-7
+
+
+def test_reflection_evaluates_each_node_once(monkeypatch):
+    nodes = []
+    quad = fdecomp.adaptive_quad
+
+    def recording_quad(f, a, b, tol):
+        return quad(lambda s: nodes.append(s) or f(s), a, b, tol)
+
+    evals = []
+    real_eval = FEvaluator.eval
+    monkeypatch.setattr(fdecomp, "adaptive_quad", recording_quad)
+    monkeypatch.setattr(FEvaluator, "eval", lambda self, y: evals.append(y) or real_eval(self, y))
+    reflection_residual(3, 5.0)
+    assert len(nodes) > len(set(nodes))  # the two quadratures share their nodes
+    assert len(evals) == len(set(nodes))
 
 
 def test_reflection_trivial_at_y_zero():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convpow import series
 from convpow.combinatorics import binomial
 from convpow.series import (
     LogSeries,
@@ -205,11 +206,40 @@ def assert_exact(got, coeffs, abscissa):
     assert got._scaled_coeffs() == PowerSeriesInvX(got.coeffs)._scaled_coeffs()
 
 
-@given(series_pairs())
-def test_integer_kernels_match_fraction_reference(pair):
+@given(series_pairs(), st.one_of(kernel_coeffs, st.integers(-50, 50)))
+def test_integer_kernels_match_fraction_reference(pair, c):
     f, g = pair
-    assert_exact(f * g, cauchy_brute(list(f.coeffs), list(g.coeffs)), max(f.conv_abscissa, g.conv_abscissa))
-    assert_exact(backward_diff(f), nabla_brute(list(f.coeffs)), f.conv_abscissa + 1)
+    a, b = list(f.coeffs), list(g.coeffs)
+    both = max(f.conv_abscissa, g.conv_abscissa)
+    assert_exact(f * g, cauchy_brute(a, b), both)
+    assert_exact(backward_diff(f), nabla_brute(a), f.conv_abscissa + 1)
+    assert_exact(f + g, [x + y for x, y in zip(a, b)], both)
+    assert_exact(f - g, [x - y for x, y in zip(a, b)], both)
+    assert_exact(-f, [-x for x in a], f.conv_abscissa)
+    assert_exact(f * c, [Fraction(c) * x for x in a], f.conv_abscissa)
+    assert_exact(c * f, [Fraction(c) * x for x in a], f.conv_abscissa)
+
+
+def test_scalar_multiples_share_one_horner_at_a_point(monkeypatch):
+    # negated, rescaled with a common factor to divide out, and a multiple
+    # of a multiple: each evaluates, bit for bit, as an unlinked copy of its
+    # coefficients running its own Horner
+    f = PowerSeriesInvX([0, 0, Fraction(2, 3), Fraction(4, 3), Fraction(-8, 3)], 2)
+    multiples = [f, -f, f * Fraction(3, 2), Fraction(-5, 4) * f, (f * 6) * Fraction(1, 4), -(f * Fraction(7, 9))]
+    assert {m._multiple[2] for m in multiples[1:]} > {1}
+    calls = []
+    horner = series._horner
+    monkeypatch.setattr(series, "_horner", lambda *args: calls.append(args) or horner(*args))
+    at = series._Point(Fraction(17, 4))
+    for m in multiples:
+        got = series_eval(m, at, 96)
+        want = series_eval(PowerSeriesInvX(m.coeffs, m.conv_abscissa), Fraction(17, 4), 96)
+        assert got.value._mpf_ == want.value._mpf_
+        assert got.tail_estimate._mpf_ == want.tail_estimate._mpf_
+        assert got.tail_reliable == want.tail_reliable
+    assert len(calls) == 1 + len(multiples)  # f's at the shared point, one per unlinked copy
+    with pytest.raises(ValueError, match="below the convergence abscissa 2"):
+        series_eval(-f, series._Point(Fraction(3, 2)))
 
 
 # ---------------------------------------------------------------------------
