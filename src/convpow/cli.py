@@ -230,25 +230,33 @@ def cmd_eval(args, cfg: RunConfig):
     return results, _spread_check(results, cfg, f"paths-agree n={args.n} y={args.y}")
 
 
+#: The flags each verify suite takes, and the suite keyword each one sets;
+#: --n and --y narrow the suite's points to one.  A suite not listed, and
+#: ``all``, take none.
+_VERIFY_FLAGS = {
+    "dualpath": {"nmax": "n_max", "smax": "s_max"},
+    "specials": {"smax": "s_max"},
+    "stirling": {"nmax": "n_max"},
+    "beta": {"nmax": "n_max"},
+    "reflection": {"n": "ns", "y": "ys"},
+    "derivative": {"n": "ns", "y": "ys"},
+    "elimination": {"n": "ns", "y": "ys"},
+}
+
+
 def cmd_verify(args, cfg: RunConfig):
+    takes = _VERIFY_FLAGS.get(args.suite, {})
     kwargs: dict = {}
-    if args.suite == "dualpath":
-        if args.nmax is not None:
-            kwargs["n_max"] = args.nmax
-        if args.smax is not None:
-            kwargs["s_max"] = args.smax
-    elif args.suite == "specials":
-        if args.smax is not None:
-            kwargs["s_max"] = args.smax
-    elif args.suite in ("stirling", "beta"):
-        if args.nmax is not None:
-            kwargs["n_max"] = args.nmax
-    elif args.suite in ("reflection", "derivative", "elimination"):
-        if args.n is not None:
-            kwargs["ns"] = (args.n,)
-        if args.y is not None:
-            kwargs["ys"] = (args.y,)
+    for flag in ("nmax", "smax", "n", "y"):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if flag not in takes:
+            raise ValueError(f"verify {args.suite} does not take --{flag}")
+        kwargs[takes[flag]] = (value,) if flag in ("n", "y") else value
     checks = verify_mod.run_suite(args.suite, **kwargs)
+    if not checks:
+        raise ValueError(f"verify {args.suite} ran no checks with these flags")
     passed = sum(1 for c in checks if c.ok)
     return {"suite": args.suite, "passed": passed, "total": len(checks)}, checks
 

@@ -38,8 +38,8 @@ reflection and convolution identities from level 4 upward.  The
 Both recurrences build one level at a time: level n is cached per
 truncation order and computed from the cached level n - 1, so every
 level is built once however many callers ask for it.  The full
-recurrence also builds each nabla[Q_k] and S[Q_k] = Q_k - nabla[Q_k]
-once per (level, order) and reuses them at every higher level.
+recurrence also builds each S[Q_k] = Q_k - nabla[Q_k] (``shift_s``) once
+per (level, order) and reuses it at every higher level.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from functools import lru_cache
 
 from .amatrix import compute_a_matrix
 from .combinatorics import binomial, stirling1_unsigned
-from .series import DEFAULT_ORDER, PowerSeriesInvX, backward_diff, harmonic_h, li1_power
+from .series import DEFAULT_ORDER, PowerSeriesInvX, backward_diff, harmonic_h, li1_power, shift_s
 
 
 def _neg_h_pure(arg: PowerSeriesInvX) -> PowerSeriesInvX:
@@ -60,9 +60,9 @@ def _neg_h_pure(arg: PowerSeriesInvX) -> PowerSeriesInvX:
     be represented in the pure-series return type; that happening means
     the recurrence invariants were violated upstream.
     """
-    if arg.coeffs[0] != 0:
+    if arg.ints[0]:
         raise ArithmeticError(
-            f"nonzero constant term {arg.coeffs[0]} would put a ln(x) into a pure series"
+            f"nonzero constant term {arg.coeff(0)} would put a ln(x) into a pure series"
         )
     return -harmonic_h(arg).part(0)
 
@@ -135,7 +135,9 @@ def log_expansion_q_list(n_max: int, order: int = DEFAULT_ORDER) -> tuple[PowerS
 
     Only level n_max is built here; the lower levels are the cached
     ``log_expansion_q_list(n_max - 1, order)``, shared element by element,
-    and nabla[Q_j] and S[Q_j] come from ``_nabla_and_shift``.
+    and S[Q_j] comes from ``_shifted``.  The bracket is assembled as
+    S[Q_k] - Q_k + sum_{j<k} S[Q_j] * li1_power(k-j), which is the one
+    above since S[Q_k] - Q_k = -nabla[Q_k].
     """
     if n_max < 0:
         raise ValueError(f"log_expansion_q_list requires n_max >= 0, got {n_max}")
@@ -147,16 +149,14 @@ def log_expansion_q_list(n_max: int, order: int = DEFAULT_ORDER) -> tuple[PowerS
     if n_max == 1:
         return qs + (PowerSeriesInvX.zero(order),)  # Q_1 = 0 is initial data
     k = n_max - 1
-    bracket = -_nabla_and_shift(k, order)[0]
+    bracket = _shifted(k, order) - qs[k]
     for j in range(k):
-        bracket = bracket + _nabla_and_shift(j, order)[1] * li1_power(k - j, order)
+        bracket = bracket + _shifted(j, order) * li1_power(k - j, order)
     return qs + (_neg_h_pure(bracket),)
 
 
 @lru_cache(maxsize=None)
-def _nabla_and_shift(k: int, order: int) -> tuple[PowerSeriesInvX, PowerSeriesInvX]:
-    """nabla[Q_k] and S[Q_k] = Q_k - nabla[Q_k] of the log expansion, built
-    once per (level, order) for every higher level to reuse."""
-    q = log_expansion_q_list(k, order)[k]
-    nabla = backward_diff(q)
-    return nabla, q - nabla
+def _shifted(k: int, order: int) -> PowerSeriesInvX:
+    """S[Q_k] of the log expansion, built once per (level, order) for every
+    higher level to reuse."""
+    return shift_s(log_expansion_q_list(k, order)[k])

@@ -1,11 +1,12 @@
 """Truncated power series in 1/x over exact rationals, and the operator
 calculus acting on them.
 
-A :class:`PowerSeriesInvX` is sum_{k=0}^{N} a_k x^{-k} with Fraction
-coefficients and a fixed truncation order N.  A :class:`LogSeries` is a
-polynomial in ln(x) whose coefficients are such series; it is what the
-harmonic integration operator H produces, since H picks up a ln(x) from
-the constant term.
+A :class:`PowerSeriesInvX` is sum_{k=0}^{N} a_k x^{-k} with rational
+coefficients and a fixed truncation order N, stored once, as integers over
+one common denominator (the layout of FLINT's ``fmpq_poly``).  A
+:class:`LogSeries` is a polynomial in ln(x) whose coefficients are such
+series; it is what the harmonic integration operator H produces, since H
+picks up a ln(x) from the constant term.
 
 The operators implemented here:
 
@@ -20,14 +21,13 @@ The operators implemented here:
 
 The Cauchy product is ``PowerSeriesInvX.__mul__``.
 
-Sums, differences, negation, scalar and Cauchy products, the backward
-difference and evaluation all run on a series' integer coefficients over
-one common denominator (the layout of FLINT's ``fmpq_poly``): each
-operator reduces its output to lowest terms once, and evaluation keeps
-partial sums as exact integers (Horner) and converts to an mpmath float
-once, at the end.  Each evaluation carries a geometric-ratio tail estimate
-for the truncated remainder, flagged unreliable when the last coefficient
-ratio does not support a geometric model at the requested point.
+Every operator and evaluation runs on those integers: each operator
+reduces its output to lowest terms once, and evaluation keeps partial sums
+as exact integers (Horner) and converts to an mpmath float once, at the
+end.  Fractions are built only when a caller asks for ``coeffs``.  Each
+evaluation carries a geometric-ratio tail estimate for the truncated
+remainder, flagged unreliable when the last coefficient ratio does not
+support a geometric model at the requested point.
 
 ``series_eval`` and ``logseries_eval`` take a number or a prepared point
 (``_Point``) that several evaluations share.  A series made by negation or
@@ -86,42 +86,42 @@ def _to_mpf(q: Fraction) -> mpmath.mpf:
 class PowerSeriesInvX:
     """Truncated series sum_{k=0}^{N} a_k x^{-k} with rational coefficients.
 
-    Instances are treated as immutable.  ``conv_abscissa`` records the
-    smallest evaluation point the series is trusted at (propagated by the
-    operators: the backward difference shifts it up by one, products and
-    sums take the max).  Equality compares coefficients only.
+    The one stored form is a_k = ints[k] / den in lowest terms, so den is
+    the least common denominator of the a_k.  That form is unique, so
+    equality compares den and ints; ``coeffs`` builds the Fractions on
+    request.  Instances are treated as immutable.  ``conv_abscissa``
+    records the smallest evaluation point the series is trusted at
+    (propagated by the operators: the backward difference shifts it up by
+    one, products and sums take the max); equality ignores it.
     """
 
-    __slots__ = ("coeffs", "conv_abscissa", "_scaled", "_multiple", "_floats")
+    __slots__ = ("den", "ints", "conv_abscissa", "_multiple", "_floats")
 
     def __init__(self, coeffs: Iterable[Rational], conv_abscissa: Rational = 1):
-        self.coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
-        if not self.coeffs:
+        fracs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        if not fracs:
             raise ValueError("a series needs at least its constant coefficient")
         self.conv_abscissa = Fraction(conv_abscissa)
         if self.conv_abscissa < 1:
             raise ValueError(f"conv_abscissa must be >= 1, got {self.conv_abscissa}")
-        self._scaled = None  # lazy (common_denominator, scaled_int_coeffs)
-        self._multiple = None  # (root, num, div): scaled ints are root's * num / div
+        self.den = math.lcm(*(c.denominator for c in fracs))
+        self.ints = tuple(c.numerator * (self.den // c.denominator) for c in fracs)
+        self._multiple = None  # (root, num, div): ints are root's * num / div
         self._floats = None  # lazy {prec: what evaluation needs at prec}
 
     @classmethod
     def _from_scaled(cls, den: int, ints, conv_abscissa: Fraction, multiple=None) -> "PowerSeriesInvX":
-        """The series with coefficients ints[k] / den, each reduced once.
+        """The series with coefficients ints[k] / den, brought to lowest
+        terms by dividing out the gcd of den and every ints[k].
 
-        Dividing out the gcd of den and every ints[k] leaves the least
-        common denominator, so the cached scaled form is the one
-        ``_scaled_coeffs`` would compute.  ``multiple`` = (root, num, div)
-        says that ints are root's scaled integers times num / div.
+        ``multiple`` = (root, num, div) says that ints are root's integers
+        times num / div.
         """
         g = math.gcd(den, *ints)
-        if g > 1:
-            den //= g
-            ints = [c // g for c in ints]
         self = cls.__new__(cls)
-        self.coeffs = tuple(Fraction(c, den) for c in ints)
+        self.den = den // g
+        self.ints = tuple(c // g for c in ints) if g > 1 else tuple(ints)
         self.conv_abscissa = conv_abscissa
-        self._scaled = (den, tuple(ints))
         self._multiple = None if multiple is None else (multiple[0], multiple[1], multiple[2] * g)
         self._floats = None
         return self
@@ -135,15 +135,21 @@ class PowerSeriesInvX:
         return cls([value] + [0] * order, conv_abscissa)
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients a_0..a_N as Fractions, built on each call."""
+        return tuple(Fraction(c, self.den) for c in self.ints)
+
+    def coeff(self, k: int) -> Fraction:
+        """The one coefficient a_k as a Fraction."""
+        return Fraction(self.ints[k], self.den)
+
+    @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_constant(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k]
+        return not any(self.ints[1:])
 
     def _require_same_order(self, other: "PowerSeriesInvX") -> None:
         if self.order != other.order:
@@ -152,50 +158,38 @@ class PowerSeriesInvX:
                 "re-expand to a common order first"
             )
 
-    def _scaled_coeffs(self) -> tuple[int, tuple[int, ...]]:
-        """Common denominator D and integer coefficients D*a_k, cached."""
-        if self._scaled is None:
-            den = 1
-            for c in self.coeffs:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-            self._scaled = (den, tuple(c.numerator * (den // c.denominator) for c in self.coeffs))
-        return self._scaled
-
-    def _scaled_by(self, num: int):
-        """(root, num', div) with this series' scaled integers times num equal
-        to root's times num' / div; root is the series this one is a scalar
-        multiple of, or the series itself."""
-        root, n, div = self._multiple or (self, 1, 1)
-        return root, n * num, div
-
     def _eval_floats(self, prec: int):
-        """(value of a constant series or None, mpf(D), mpf(|a_N|), tail
+        """(value of a constant series or None, mpf(den), mpf(|a_N|), tail
         ratio) at precision prec: what evaluation needs besides the integers
-        and the point, cached per precision."""
+        and the point, cached per precision.
+
+        The tail ratio is |a_N / a_{N-1}| of the geometric tail model (1
+        when a_{N-1} = 0), or None when a_N = 0 and the model puts no tail
+        at all.
+        """
         if self._floats is None:
             self._floats = {}
         got = self._floats.get(prec)
         if got is None:
             with mpmath.workprec(prec):
                 if self.is_constant:
-                    got = (_to_mpf(self.coeffs[0]), None, None, None)
+                    got = (_to_mpf(self.coeff(0)), None, None, None)
                 else:
-                    den, _ = self._scaled_coeffs()
-                    got = (None, mpmath.mpf(den), _to_mpf(abs(self.coeffs[-1])), _tail_ratio(self.coeffs))
+                    last, prev = abs(self.ints[-1]), abs(self.ints[-2])
+                    ratio = None if not last else Fraction(last, prev) if prev else Fraction(1)
+                    got = (None, mpmath.mpf(self.den), _to_mpf(Fraction(last, self.den)), ratio)
             self._floats[prec] = got
         return got
 
     def _combine(self, other: "PowerSeriesInvX", sign: int) -> "PowerSeriesInvX":
-        """self + sign * other on the scaled integers, over the lcm of both denominators."""
+        """self + sign * other, over the lcm of both denominators."""
         if not isinstance(other, PowerSeriesInvX):
             return NotImplemented
         self._require_same_order(other)
-        da, a = self._scaled_coeffs()
-        db, b = other._scaled_coeffs()
-        den = da * db // math.gcd(da, db)
-        ua, ub = den // da, sign * (den // db)
+        den = math.lcm(self.den, other.den)
+        ua, ub = den // self.den, sign * (den // other.den)
         return PowerSeriesInvX._from_scaled(
-            den, [x * ua + y * ub for x, y in zip(a, b)], max(self.conv_abscissa, other.conv_abscissa)
+            den, [x * ua + y * ub for x, y in zip(self.ints, other.ints)], max(self.conv_abscissa, other.conv_abscissa)
         )
 
     def __add__(self, other: "PowerSeriesInvX") -> "PowerSeriesInvX":
@@ -205,23 +199,22 @@ class PowerSeriesInvX:
         return self._combine(other, -1)
 
     def __neg__(self) -> "PowerSeriesInvX":
-        den, a = self._scaled_coeffs()
-        return PowerSeriesInvX._from_scaled(den, [-c for c in a], self.conv_abscissa, self._scaled_by(-1))
+        return self * -1
 
     def __mul__(self, other) -> "PowerSeriesInvX":
         if isinstance(other, PowerSeriesInvX):
             self._require_same_order(other)
-            da, a = self._scaled_coeffs()
-            db, b = other._scaled_coeffs()
-            rb = b[::-1]
+            a, rb = self.ints, other.ints[::-1]
             n = self.order
             prod = [sum(map(operator.mul, a[: k + 1], rb[n - k :])) for k in range(n + 1)]
-            return PowerSeriesInvX._from_scaled(da * db, prod, max(self.conv_abscissa, other.conv_abscissa))
+            abscissa = max(self.conv_abscissa, other.conv_abscissa)
+            return PowerSeriesInvX._from_scaled(self.den * other.den, prod, abscissa)
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            den, a = self._scaled_coeffs()
+            num = other.numerator
+            root, root_num, div = self._multiple or (self, 1, 1)
+            ints = [x * num for x in self.ints]
             return PowerSeriesInvX._from_scaled(
-                den * c.denominator, [x * c.numerator for x in a], self.conv_abscissa, self._scaled_by(c.numerator)
+                self.den * other.denominator, ints, self.conv_abscissa, (root, root_num * num, div)
             )
         return NotImplemented
 
@@ -230,12 +223,12 @@ class PowerSeriesInvX:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSeriesInvX):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.ints == other.ints
 
     __hash__ = None  # mutable-looking cache slot; not meant for dict keys
 
     def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:4])
+        head = ", ".join(str(Fraction(c, self.den)) for c in self.ints[:4])
         tail = ", ..." if self.order >= 4 else ""
         return f"PowerSeriesInvX([{head}{tail}], order={self.order}, abscissa={self.conv_abscissa})"
 
@@ -302,14 +295,15 @@ def harmonic_h(g: PowerSeriesInvX) -> LogSeries:
 
     The constant term of g integrates to a_0 * ln(x); every other term
     integrates to -(a_k/k) x^{-k}, with the integration constant pinned
-    so the 1/x-part vanishes at infinity.
+    so the 1/x-part vanishes at infinity.  On the integers, with
+    L = lcm(1..N), -a_k/k is -ints[k] * (L/k) over den * L.
     """
     n = g.order
-    pure = [Fraction(0)]
-    pure.extend(-g.coeffs[k] / k for k in range(1, n + 1))
+    lcm = math.lcm(*range(1, n + 1))
+    pure = [0] + [-g.ints[k] * (lcm // k) for k in range(1, n + 1)]
     return LogSeries([
-        PowerSeriesInvX(pure, g.conv_abscissa),
-        PowerSeriesInvX.constant(g.coeffs[0], n, g.conv_abscissa),
+        PowerSeriesInvX._from_scaled(g.den * lcm, pure, g.conv_abscissa),
+        PowerSeriesInvX._from_scaled(g.den, [g.ints[0]] + [0] * n, g.conv_abscissa),
     ])
 
 
@@ -318,19 +312,19 @@ def backward_diff(g: PowerSeriesInvX) -> PowerSeriesInvX:
 
     Constants are annihilated and the x^{-1} coefficient is always 0; the
     coefficient at x^{-k} for k >= 2 is -sum_{r=1}^{k-1} C(k-1, r) a_{k-r},
-    i.e. -sum_{i=1}^{k-1} C(k-1, i-1) a_i, summed on the scaled integers
+    i.e. -sum_{i=1}^{k-1} C(k-1, i-1) a_i, summed on the integers
     against one Pascal row per k.
     The expansion of 1/(x-1)^j around infinity converges only for x > 1
     over what g needed, hence the abscissa shift.
     """
-    den, a = g._scaled_coeffs()
+    a = g.ints
     n = g.order
     out = [0] * (n + 1)
     row = [1]  # C(k-1, 0..k-1)
     for k in range(2, n + 1):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
         out[k] = -sum(map(operator.mul, row, a[1:k]))
-    return PowerSeriesInvX._from_scaled(den, out, g.conv_abscissa + 1)
+    return PowerSeriesInvX._from_scaled(g.den, out, g.conv_abscissa + 1)
 
 
 @lru_cache(maxsize=None)
@@ -346,13 +340,9 @@ def li1_power(n: int, order: int = DEFAULT_ORDER) -> PowerSeriesInvX:
         raise ValueError(f"li1_power requires n >= 0, got n={n}")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    coeffs = []
-    kfact = 1
-    for k in range(order + 1):
-        if k:
-            kfact *= k
-        coeffs.append(Fraction(stirling1_unsigned(k, n), kfact))
-    return PowerSeriesInvX(coeffs, 1)
+    top = math.factorial(order)
+    ints = [stirling1_unsigned(k, n) * (top // math.factorial(k)) for k in range(order + 1)]
+    return PowerSeriesInvX._from_scaled(top, ints, Fraction(1))
 
 
 def shift_s(g):
@@ -386,23 +376,14 @@ def _int_powers(p: int, n: int) -> list[int]:
 def _horner(ints, q: int, ppow) -> int:
     """Exact Horner sum of ints[k] * p^(N-k) * q^k, k = 0..N, from ppow = p^0..p^N.
 
-    With ints the scaled coefficients D*a_k of a series and x = p/q, the
-    series' partial sum at x is this integer over D * p^N.
+    With ints = den * a_k of a series and x = p/q, the series' partial sum
+    at x is this integer over den * p^N.
     """
     n = len(ints) - 1
     acc = ints[n]
     for k in range(n - 1, -1, -1):
         acc = acc * q + ints[k] * ppow[n - k]
     return acc
-
-
-def _tail_ratio(coeffs) -> Fraction | None:
-    """|a_N / a_{N-1}| of the geometric tail model (1 when a_{N-1} = 0), or
-    None when a_N = 0 and the model puts no tail at all."""
-    a_last, a_prev = coeffs[-1], coeffs[-2]
-    if a_last == 0:
-        return None
-    return abs(a_last / a_prev) if a_prev else Fraction(1)
 
 
 class _Point:
@@ -464,7 +445,7 @@ class _Point:
         |a_N| * x^(-N) / (1 - rho).  With no ratio (a_N = 0) there is no
         tail, and 1 - rho is None.
         """
-        root, num, div = g._scaled_by(1)
+        root, num, div = g._multiple or (g, 1, 1)
         key = (id(root), num, div, prec)
         got = self._terms.get(key)
         if got is None:
@@ -474,8 +455,7 @@ class _Point:
                     raise ValueError(
                         f"evaluation point {self.x} is below the convergence abscissa {root.conv_abscissa}"
                     )
-                ints = root._scaled_coeffs()[1]
-                summed = self._sums[id(root)] = (root, _horner(ints, self.x.denominator, self.powers(root.order)))
+                summed = self._sums[id(root)] = (root, _horner(root.ints, self.x.denominator, self.powers(root.order)))
             reliable, one_minus_rho = True, None
             if ratio is not None:
                 rho = max(ratio, Fraction(1)) / self.x

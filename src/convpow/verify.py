@@ -169,6 +169,8 @@ def suite_closedforms(
 
 def suite_beta(n_max: int = 6, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC) -> list[Check]:
     """Exactness of the first constants and the dilogarithm value of the second."""
+    if n_max < 1:
+        raise ValueError(f"suite beta checks beta_0 and beta_1, so it needs n_max >= 1, got {n_max}")
     table = beta_table(n_max, order, prec)
     checks = [
         Check("beta0-exact", table.values[0] == 1, f"beta_0 = {mpmath.nstr(table.values[0], 20)}"),

@@ -155,6 +155,24 @@ def test_verify_dualpath_args(capsys):
     assert all(c["ok"] for c in payload["checks"])
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["verify", "table1", "--nmax", "9"], "does not take --nmax"),
+        (["verify", "all", "--n", "3"], "does not take --n"),
+        (["verify", "dualpath", "--nmax", "1"], "ran no checks"),
+        (["verify", "stirling", "--nmax", "-3"], "ran no checks"),
+        (["verify", "beta", "--nmax", "0"], "needs n_max >= 1"),
+    ],
+)
+def test_verify_ignored_flag_or_no_checks_is_usage_error(capsys, argv, reason):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert reason in captured.err
+
+
 def test_verify_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nonsense"])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from convpow import fdecomp, series
+from convpow import fdecomp, qcoeff, series
 from convpow.fdecomp import (
     BetaTable,
     FEvaluator,
@@ -233,6 +233,24 @@ def test_each_q_series_is_evaluated_once_per_point(monkeypatch):
     monkeypatch.setattr(series, "_horner", lambda *args: calls.append(args) or horner(*args))
     f_eval(9, 2.5)
     assert len(calls) == 8  # Q_2..Q_9; Q_0 = 1 and Q_1 = 0 are constants
+
+
+def test_pipeline_never_builds_the_fraction_view(monkeypatch):
+    # every pipeline step reads a series' integers over its denominator;
+    # the Fraction tuple is built only for callers that ask for it
+    for module in (series, qcoeff, fdecomp):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+    def refuse(self):
+        raise AssertionError("the pipeline built a series' Fraction view")
+
+    monkeypatch.setattr(PowerSeriesInvX, "coeffs", property(refuse))
+    r = f_eval(8, 1.5, 24, 96)
+    assert r.value > 0 and r.tail_estimate >= 0
+    table = beta_table(9, 24, 96)
+    assert len(table) == 10 and table.values[1] == 0
 
 
 # ---------------------------------------------------------------------------

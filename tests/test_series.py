@@ -202,8 +202,9 @@ def assert_exact(got, coeffs, abscissa):
     assert got.coeffs == tuple(coeffs)
     assert all(type(c) is Fraction for c in got.coeffs)
     assert got.conv_abscissa == abscissa
-    # the scaled form a kernel caches is the one a fresh series computes
-    assert got._scaled_coeffs() == PowerSeriesInvX(got.coeffs)._scaled_coeffs()
+    # the stored form a kernel builds is the one a fresh series computes
+    fresh = PowerSeriesInvX(got.coeffs)
+    assert (got.den, got.ints) == (fresh.den, fresh.ints)
 
 
 @given(series_pairs(), st.one_of(kernel_coeffs, st.integers(-50, 50)))
@@ -218,6 +219,15 @@ def test_integer_kernels_match_fraction_reference(pair, c):
     assert_exact(-f, [-x for x in a], f.conv_abscissa)
     assert_exact(f * c, [Fraction(c) * x for x in a], f.conv_abscissa)
     assert_exact(c * f, [Fraction(c) * x for x in a], f.conv_abscissa)
+    h = harmonic_h(f)
+    assert_exact(h.part(0), [F(0)] + [-x / k for k, x in enumerate(a) if k], f.conv_abscissa)
+    assert_exact(h.part(1), [a[0]] + [F(0)] * f.order, f.conv_abscissa)
+    assert_exact(shift_s(f), [x - y for x, y in zip(a, nabla_brute(a))], f.conv_abscissa + 1)
+    # the stored form is unique, so == is coefficient equality whatever
+    # route built the two sides
+    assert (f + g) - g == f
+    assert f == PowerSeriesInvX(f.coeffs)
+    assert (f * F(1, 2) == f) == (not any(a))
 
 
 def test_scalar_multiples_share_one_horner_at_a_point(monkeypatch):
