@@ -10,6 +10,9 @@ Subcommands expose the main computations and the verification suites:
     convpow verify dualpath --nmax 8 --smax 40
     convpow verify all
 
+Each subcommand takes only the settings it reads: ``--format`` on all,
+``-N/--order`` and ``--prec`` on ``beta`` and ``eval``, ``--tol`` and
+``--compare-tol`` on ``eval``; the JSON ``config`` lists exactly those.
 Output is a single JSON document by default (``--format csv`` emits the
 tabular part).  Exit status: 0 when every reported check passed, 1 when
 any failed, 2 for usage or domain errors.  A reader that closes the pipe
@@ -26,7 +29,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import verify as verify_mod
 from .amatrix import a_determinant, check_special_values, compute_a_matrix
@@ -44,35 +47,13 @@ from .quadrature import QuadratureError
 from .series import DEFAULT_ORDER, DEFAULT_PREC
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by all subcommands."""
-
-    order: int = DEFAULT_ORDER
-    precision: int = DEFAULT_PREC
-    quad_tol: float = 1e-10
-    compare_tol: float = 1e-6
-    fmt: str = "json"
-
-    def __post_init__(self):
-        if self.order < 8:
-            raise ValueError(f"--order must be >= 8, got {self.order}")
-        if self.precision < 24:
-            raise ValueError(f"--prec must be >= 24 bits, got {self.precision}")
-        if not self.quad_tol > 0:
-            raise ValueError(f"--tol must be positive, got {self.quad_tol}")
-        if not self.compare_tol > 0:
-            raise ValueError(f"--compare-tol must be positive, got {self.compare_tol}")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"--format must be json or csv, got {self.fmt!r}")
+#: The settings a subcommand may take, in the order JSON ``config`` lists them.
+_SETTINGS = ("order", "precision", "quad_tol", "compare_tol", "fmt")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_series_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--order", "-N", type=int, default=DEFAULT_ORDER, help="series truncation order")
-    parser.add_argument("--prec", type=int, default=DEFAULT_PREC, help="evaluation precision in bits")
-    parser.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
-    parser.add_argument("--compare-tol", type=float, default=1e-6, help="tolerance for cross-path comparisons")
-    parser.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+    parser.add_argument("--prec", dest="precision", type=int, default=DEFAULT_PREC, help="evaluation precision in bits")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,16 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("s", type=int, help="matrix size parameter")
     p.add_argument("--check", action="store_true", help="verify the closed-form slices")
     p.add_argument("--det", action="store_true", help="include the determinant")
-    _add_common(p)
 
     p = sub.add_parser("qcoeff", help="coefficients of one Q-series by both computation paths")
     p.add_argument("n", type=int, help="series level (>= 2 enables the closed-form path)")
     p.add_argument("smax", type=int, help="highest coefficient index")
-    _add_common(p)
 
     p = sub.add_parser("beta", help="decomposition constants beta_0..beta_nmax")
     p.add_argument("nmax", type=int)
-    _add_common(p)
+    _add_series_flags(p)
 
     p = sub.add_parser("eval", help="evaluate f_n(y), or a convolution power with --conv, by every available path")
     p.add_argument("n", type=int)
@@ -101,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.0, help="kernel cutoff for the convolution path")
     p.add_argument("--a", dest="a", type=float, default=1.0, help="kernel shift for the convolution path")
     p.add_argument("--skip-oracles", action="store_true", help="series value only")
-    _add_common(p)
+    _add_series_flags(p)
+    p.add_argument("--tol", dest="quad_tol", type=float, default=1e-10, help="quadrature tolerance")
+    p.add_argument("--compare-tol", type=float, default=1e-6, help="tolerance for cross-path comparisons")
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(verify_mod.SUITES) + ["all"])
@@ -109,22 +90,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smax", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--y", type=float, default=None)
-    _add_common(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json", help="output format")
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        order=args.order,
-        precision=args.prec,
-        quad_tol=args.tol,
-        compare_tol=args.compare_tol,
-        fmt=args.format,
-    )
+def _config_from(args: argparse.Namespace) -> dict:
+    """The settings the subcommand took, range-checked."""
+    cfg = {key: getattr(args, key) for key in _SETTINGS if hasattr(args, key)}
+    if "order" in cfg and cfg["order"] < 8:
+        raise ValueError(f"--order must be >= 8, got {cfg['order']}")
+    if "precision" in cfg and cfg["precision"] < 24:
+        raise ValueError(f"--prec must be >= 24 bits, got {cfg['precision']}")
+    for key, flag in (("quad_tol", "--tol"), ("compare_tol", "--compare-tol")):
+        if key in cfg and not cfg[key] > 0:
+            raise ValueError(f"{flag} must be positive, got {cfg[key]}")
+    return cfg
 
 
-def cmd_amatrix(args, cfg: RunConfig):
+def cmd_amatrix(args):
     a = compute_a_matrix(args.s)
     results: dict = {"s": a.s, "rows": [list(r) for r in a.rows]}
     checks: list[verify_mod.Check] = []
@@ -138,7 +123,7 @@ def cmd_amatrix(args, cfg: RunConfig):
     return results, checks
 
 
-def cmd_qcoeff(args, cfg: RunConfig):
+def cmd_qcoeff(args):
     if args.n < 0:
         raise ValueError(f"level must be >= 0, got {args.n}")
     if args.smax < 1:
@@ -161,10 +146,10 @@ def cmd_qcoeff(args, cfg: RunConfig):
     return results, checks
 
 
-def cmd_beta(args, cfg: RunConfig):
+def cmd_beta(args):
     if args.nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {args.nmax}")
-    table = beta_table(args.nmax, cfg.order, cfg.precision)
+    table = beta_table(args.nmax, args.order, args.precision)
     rows = [
         {
             "n": k,
@@ -177,16 +162,16 @@ def cmd_beta(args, cfg: RunConfig):
     return {"betas": rows}, checks
 
 
-def _spread_check(results: dict, cfg: RunConfig, label: str) -> list[verify_mod.Check]:
+def _spread_check(results: dict, compare_tol: float, label: str) -> list[verify_mod.Check]:
     values = [results[k] for k in ("series", "quadrature", "reconstruction") if isinstance(results[k], float)]
     diff = max(abs(u - v) for u in values for v in values) if len(values) > 1 else 0.0
     results["max_pairwise_diff"] = diff
     if len(values) < 2:
         return []
-    return [verify_mod.Check(label, diff <= cfg.compare_tol, f"max pairwise diff = {diff:.3g}")]
+    return [verify_mod.Check(label, diff <= compare_tol, f"max pairwise diff = {diff:.3g}")]
 
 
-def cmd_eval(args, cfg: RunConfig):
+def cmd_eval(args):
     params = ConvParams(args.lam, args.a)
     if args.conv:
         # phi*n(x) three ways: transform of the exact series, direct nested
@@ -197,23 +182,23 @@ def cmd_eval(args, cfg: RunConfig):
             "x": x,
             "lam": params.lam,
             "a": params.a,
-            "series": reconstruct_from_f(params, n, x, cfg.order, cfg.precision),
+            "series": reconstruct_from_f(params, n, x, args.order, args.precision),
             "quadrature": None,
             "reconstruction": None,
         }
         if not args.skip_oracles:
             if n <= DEFAULT_MAX_DEPTH:
-                results["quadrature"] = conv_power_quadrature(params, n, x, cfg.quad_tol)
+                results["quadrature"] = conv_power_quadrature(params, n, x, args.quad_tol)
             y = (x - n * params.lam) / (params.lam + params.a)
-            oracle = f_quadrature_oracle(n - 1, y, cfg.quad_tol)
+            oracle = f_quadrature_oracle(n - 1, y, args.quad_tol)
             results["reconstruction"] = math.factorial(n) / (x + n * params.a) * oracle
-        return results, _spread_check(results, cfg, f"conv-paths-agree n={n} x={x}")
+        return results, _spread_check(results, args.compare_tol, f"conv-paths-agree n={n} x={x}")
 
     if args.n < 0:
         raise ValueError(f"n must be >= 0, got {args.n}")
     if args.y < 0:
         raise ValueError(f"y must be >= 0, got {args.y}")
-    r = f_eval(args.n, args.y, cfg.order, cfg.precision)
+    r = f_eval(args.n, args.y, args.order, args.precision)
     results = {
         "n": args.n,
         "y": args.y,
@@ -224,10 +209,10 @@ def cmd_eval(args, cfg: RunConfig):
         "reconstruction": None,
     }
     if not args.skip_oracles:
-        results["quadrature"] = f_quadrature_oracle(args.n, args.y, cfg.quad_tol)
+        results["quadrature"] = f_quadrature_oracle(args.n, args.y, args.quad_tol)
         if args.n + 1 <= DEFAULT_MAX_DEPTH:
-            results["reconstruction"] = f_from_conv(params, args.n + 1, args.y, cfg.quad_tol)
-    return results, _spread_check(results, cfg, f"paths-agree n={args.n} y={args.y}")
+            results["reconstruction"] = f_from_conv(params, args.n + 1, args.y, args.quad_tol)
+    return results, _spread_check(results, args.compare_tol, f"paths-agree n={args.n} y={args.y}")
 
 
 #: The flags each verify suite takes, and the suite keyword each one sets;
@@ -244,7 +229,7 @@ _VERIFY_FLAGS = {
 }
 
 
-def cmd_verify(args, cfg: RunConfig):
+def cmd_verify(args):
     takes = _VERIFY_FLAGS.get(args.suite, {})
     kwargs: dict = {}
     for flag in ("nmax", "smax", "n", "y"):
@@ -294,18 +279,18 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         cfg = _config_from(args)
-        results, checks = _HANDLERS[args.command](args, cfg)
+        results, checks = _HANDLERS[args.command](args)
     except (ValueError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     try:
-        if cfg.fmt == "csv":
+        if args.fmt == "csv":
             _emit_csv(results, checks, sys.stdout)
         else:
             payload = {
                 "command": args.command,
-                "config": asdict(cfg),
+                "config": cfg,
                 "results": results,
                 "checks": [asdict(c) for c in checks],
                 "elapsed_ms": round(elapsed_ms, 3),

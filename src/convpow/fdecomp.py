@@ -121,23 +121,27 @@ class BetaTable:
 
 @lru_cache(maxsize=None)
 def beta_table(n_max: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC) -> BetaTable:
-    """Compute beta_0..beta_{n_max} by the triangular recurrence."""
+    """Compute beta_0..beta_{n_max} by the triangular recurrence.
+
+    Level n_max extends the cached table of level n_max - 1 by one row, so
+    filling levels 1..n evaluates each J-iterate at each integer point once.
+    """
     if n_max < 0:
         raise ValueError(f"beta index must be >= 0, got {n_max}")
-    values = [mpmath.mpf(1)]
-    tails = [mpmath.mpf(0)]
+    if n_max == 0:
+        return BetaTable((mpmath.mpf(1),), (mpmath.mpf(0),))
+    # positional, as make_f_evaluator passes them: lru_cache keys on the arguments as given
+    lower = beta_table(n_max - 1, order, prec)
+    at = _Point(Fraction(n_max))
     with mpmath.workprec(prec):
-        for n in range(1, n_max + 1):
-            at = _Point(Fraction(n))
-            acc = mpmath.mpf(0)
-            acc_tail = mpmath.mpf(0)
-            for k in range(n):
-                r = _eval_j(n - k, at, order, prec)
-                acc += values[k] * r.value
-                acc_tail += abs(values[k]) * r.tail_estimate + tails[k] * abs(r.value)
-            values.append(-acc)
-            tails.append(acc_tail)
-    return BetaTable(tuple(values), tuple(tails))
+        acc = mpmath.mpf(0)
+        acc_tail = mpmath.mpf(0)
+        for k in range(n_max):
+            r = _eval_j(n_max - k, at, order, prec)
+            acc += lower.values[k] * r.value
+            acc_tail += abs(lower.values[k]) * r.tail_estimate + lower.tails[k] * abs(r.value)
+        value = -acc
+    return BetaTable(lower.values + (value,), lower.tails + (acc_tail,))
 
 
 @dataclass(frozen=True)

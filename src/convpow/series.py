@@ -13,7 +13,7 @@ The operators implemented here:
 * ``harmonic_h``       H[g](x) = integral of g(x)/x, constant pinned so
                        that the 1/x-part vanishes at infinity,
 * ``backward_diff``    the difference g(x) - g(x-1) re-expanded in 1/x,
-* ``shift_s``          the shift g(x) -> g(x-1) on log-degree <= 1,
+* ``shift_s``          the shift g(x) -> g(x-1),
 * ``li1_power``        (1/n!) * Li_1(1/x)^n, whose 1/x-coefficients are
                        unsigned Stirling numbers over factorials; n = 1 is
                        Li_1(1/x) = ln(x) - ln(x-1), the backward difference
@@ -345,24 +345,11 @@ def li1_power(n: int, order: int = DEFAULT_ORDER) -> PowerSeriesInvX:
     return PowerSeriesInvX._from_scaled(top, ints, Fraction(1))
 
 
-def shift_s(g):
-    """The shift g(x) -> g(x-1), i.e. identity minus backward difference.
-
-    Accepts a plain series or a LogSeries of degree <= 1.  On degree 1
-    the shifted logarithm contributes ln(x-1) = ln(x) - Li_1(1/x), which
-    folds into the pure part; higher degrees would need powers of Li_1
-    mixed across parts and are not supported here.
-    """
-    if isinstance(g, PowerSeriesInvX):
-        return g - backward_diff(g)
-    if not isinstance(g, LogSeries):
-        raise TypeError(f"shift_s expects PowerSeriesInvX or LogSeries, got {type(g).__name__}")
-    if g.degree == 0:
-        return LogSeries([shift_s(g.parts[0])])
-    if g.degree > 1:
-        raise ValueError(f"shift_s supports log-degree <= 1, got degree {g.degree}")
-    s0, s1 = (shift_s(p) for p in g.parts)
-    return LogSeries([s0 - s1 * li1_power(1, g.order), s1])
+def shift_s(g: PowerSeriesInvX) -> PowerSeriesInvX:
+    """The shift g(x) -> g(x-1), i.e. identity minus backward difference."""
+    if not isinstance(g, PowerSeriesInvX):
+        raise TypeError(f"shift_s expects PowerSeriesInvX, got {type(g).__name__}")
+    return g - backward_diff(g)
 
 
 def _int_powers(p: int, n: int) -> list[int]:

@@ -80,14 +80,17 @@ def suite_triangles() -> list[Check]:
     return checks
 
 
-def suite_specials(s_max: int = 12, det_max: int = 8) -> list[Check]:
-    """Closed-form slices (columns, diagonal) and determinants."""
+def suite_specials(s_max: int = 12) -> list[Check]:
+    """Closed-form slices (columns, diagonal) for s <= s_max, and
+    determinants for s <= 8."""
+    if s_max < 0:
+        raise ValueError(f"suite specials checks s = 0..s_max, so it needs s_max >= 0, got {s_max}")
     checks = []
     for s in range(s_max + 1):
         report = check_special_values(compute_a_matrix(s))
         detail = "all identities hold" if report["ok"] else f"failures: {report['failures']}"
         checks.append(Check(f"special-values s={s}", report["ok"], detail))
-    for s in range(det_max + 1):
+    for s in range(9):
         det = a_determinant(compute_a_matrix(s))
         want = superfactorial(s)
         checks.append(
@@ -100,16 +103,17 @@ def suite_specials(s_max: int = 12, det_max: int = 8) -> list[Check]:
     return checks
 
 
-def suite_stirling(n_max: int = 6, order: int = 30) -> list[Check]:
-    """li1_power matches the n-fold Cauchy product divided by n!, exactly."""
+def suite_stirling(n_max: int = 6) -> list[Check]:
+    """li1_power matches the n-fold Cauchy product divided by n!, exactly,
+    to order 30."""
     checks = []
-    li1 = li1_power(1, order)
-    power = li1_power(0, order)  # constant 1
+    li1 = li1_power(1, 30)
+    power = li1_power(0, 30)  # constant 1
     for n in range(n_max + 1):
         if n:
             power = power * li1
         want = power * Fraction(1, math.factorial(n))
-        got = li1_power(n, order)
+        got = li1_power(n, 30)
         checks.append(
             Check(
                 f"stirling-product n={n}",
@@ -142,17 +146,13 @@ def suite_dualpath(n_max: int = 8, s_max: int = 40) -> list[Check]:
     return checks
 
 
-def suite_closedforms(
-    order: int = DEFAULT_ORDER,
-    prec: int = DEFAULT_PREC,
-    quad_tol: float = 1e-10,
-) -> list[Check]:
+def suite_closedforms() -> list[Check]:
     """Spot checks against hand closed forms: f_1 = ln(y+1), and the second
     convolution power of the plain truncated kernel, 2 ln(x+1)/(x+2)."""
     checks = []
-    with mpmath.workprec(prec):
+    with mpmath.workprec(DEFAULT_PREC):
         for y in (0, 0.5, 1, 2, 5, 10):
-            got = f_eval(1, Fraction(y), order, prec).value
+            got = f_eval(1, Fraction(y)).value
             want = mpmath.log(1 + mpmath.mpf(y))
             err = abs(got - want)
             checks.append(
@@ -160,24 +160,24 @@ def suite_closedforms(
             )
     params = ConvParams(0.0, 1.0)
     for x in (0.5, 1.0, 2.0, 10.0):
-        got = conv_power_quadrature(params, 2, x, quad_tol)
+        got = conv_power_quadrature(params, 2, x)
         want = 2.0 * math.log(x + 1.0) / (x + 2.0)
         err = abs(got - want)
         checks.append(Check(f"conv2-closed x={x}", err <= 1e-9, f"|quad - closed| = {err:.3g}"))
     return checks
 
 
-def suite_beta(n_max: int = 6, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC) -> list[Check]:
+def suite_beta(n_max: int = 6) -> list[Check]:
     """Exactness of the first constants and the dilogarithm value of the second."""
     if n_max < 1:
         raise ValueError(f"suite beta checks beta_0 and beta_1, so it needs n_max >= 1, got {n_max}")
-    table = beta_table(n_max, order, prec)
+    table = beta_table(n_max, DEFAULT_ORDER, DEFAULT_PREC)
     checks = [
         Check("beta0-exact", table.values[0] == 1, f"beta_0 = {mpmath.nstr(table.values[0], 20)}"),
         Check("beta1-exact", table.values[1] == 0, f"beta_1 = {mpmath.nstr(table.values[1], 20)}"),
     ]
     if n_max >= 2:
-        with mpmath.workprec(prec):
+        with mpmath.workprec(DEFAULT_PREC):
             target = -(mpmath.pi ** 2) / 12
             err = abs(table.values[2] - target)
         checks.append(
@@ -190,42 +190,35 @@ def suite_beta(n_max: int = 6, order: int = DEFAULT_ORDER, prec: int = DEFAULT_P
     return checks
 
 
-def suite_oracle(
-    pairs: tuple[tuple[float, float], ...] = ORACLE_PAIRS,
-    ys: tuple[float, ...] = (0.5, 1.0, 2.0, 5.0),
-    n_conv_max: int = 3,
-    n_f_max: int = 4,
-    cmp_tol: float = 1e-6,
-    order: int = DEFAULT_ORDER,
-    prec: int = DEFAULT_PREC,
-    quad_tol: float = 1e-10,
-) -> list[Check]:
-    """Triangle consistency: series evaluation vs the single-variable
-    iterated-integral oracle, and series-based reconstruction vs raw
-    nested-quadrature convolution powers for several kernel parameters."""
+def suite_oracle() -> list[Check]:
+    """Triangle consistency, within 1e-6: series evaluation vs the
+    single-variable iterated-integral oracle for n <= 4, and series-based
+    reconstruction vs raw nested-quadrature convolution powers for n <= 3
+    and several kernel parameters."""
     checks = []
-    for n in range(1, n_f_max + 1):
+    ys = (0.5, 1.0, 2.0, 5.0)
+    for n in range(1, 5):
         worst = 0.0
         for y in ys:
-            a = float(f_eval(n, Fraction(y), order, prec).value)
-            b = f_quadrature_oracle(n, y, quad_tol)
+            a = float(f_eval(n, Fraction(y)).value)
+            b = f_quadrature_oracle(n, y)
             worst = max(worst, abs(a - b))
         checks.append(
-            Check(f"f-oracle n={n}", worst <= cmp_tol, f"max |series - oracle| = {worst:.3g} over y={list(ys)}")
+            Check(f"f-oracle n={n}", worst <= 1e-6, f"max |series - oracle| = {worst:.3g} over y={list(ys)}")
         )
-    for lam, a_shift in pairs:
+    for lam, a_shift in ORACLE_PAIRS:
         params = ConvParams(lam, a_shift)
-        for n in range(1, n_conv_max + 1):
+        for n in range(1, 4):
             worst = 0.0
             for y in ys:
                 x = (lam + a_shift) * y + n * lam
-                via_series = reconstruct_from_f(params, n, x, order, prec)
-                via_quad = conv_power_quadrature(params, n, x, quad_tol)
+                via_series = reconstruct_from_f(params, n, x)
+                via_quad = conv_power_quadrature(params, n, x)
                 worst = max(worst, abs(via_series - via_quad))
             checks.append(
                 Check(
                     f"conv-consistency lam={lam} a={a_shift} n={n}",
-                    worst <= cmp_tol,
+                    worst <= 1e-6,
                     f"max |reconstruction - quadrature| = {worst:.3g} over y={list(ys)}",
                 )
             )
@@ -235,36 +228,30 @@ def suite_oracle(
 def suite_reflection(
     ns: tuple[int, ...] = (0, 1, 2, 3, 4),
     ys: tuple[float, ...] = (0.5, 1.0, 2.0, 5.0),
-    res_tol: float = 1e-7,
-    order: int = DEFAULT_ORDER,
-    prec: int = DEFAULT_PREC,
-    quad_tol: float = 1e-10,
 ) -> list[Check]:
-    """Reflection identity residuals for the evaluated f_n."""
+    """Reflection identity residuals for the evaluated f_n, within 1e-7."""
     checks = []
     for n in ns:
         for y in ys:
-            res = reflection_residual(n, y, order, prec, quad_tol)
-            checks.append(Check(f"reflection n={n} y={y}", res <= res_tol, f"residual = {res:.3g}"))
+            res = reflection_residual(n, y)
+            checks.append(Check(f"reflection n={n} y={y}", res <= 1e-7, f"residual = {res:.3g}"))
     return checks
 
 
 def suite_derivative(
     ns: tuple[int, ...] = (1, 2, 3, 4),
     ys: tuple[float, ...] = (0.5, 1.0, 2.0),
-    h: float = 1e-4,
-    res_tol: float = 1e-6,
-    order: int = DEFAULT_ORDER,
-    prec: int = DEFAULT_PREC,
 ) -> list[Check]:
-    """Differential identity residuals, plus the O(h^2) halving ratio."""
+    """Differential identity residuals at step h = 1e-4, within 1e-6, plus
+    the O(h^2) halving ratio."""
     checks = []
+    h = 1e-4
     for n in ns:
         for y in ys:
-            res = derivative_residual(n, Fraction(y), Fraction(h), order, prec)
-            checks.append(Check(f"derivative n={n} y={y}", res <= res_tol, f"residual = {res:.3g} at h={h:g}"))
-    r1 = derivative_residual(2, 1, Fraction(h), order, prec)
-    r2 = derivative_residual(2, 1, Fraction(h) / 2, order, prec)
+            res = derivative_residual(n, Fraction(y), Fraction(h))
+            checks.append(Check(f"derivative n={n} y={y}", res <= 1e-6, f"residual = {res:.3g} at h={h:g}"))
+    r1 = derivative_residual(2, 1, Fraction(h))
+    r2 = derivative_residual(2, 1, Fraction(h) / 2)
     ratio = r1 / r2 if r2 else float("inf")
     checks.append(
         Check(
@@ -277,24 +264,21 @@ def suite_derivative(
 
 
 def suite_elimination(
-    pairs: tuple[tuple[float, float], ...] = ELIMINATION_PAIRS,
     ns: tuple[int, ...] = (1, 2, 3),
     ys: tuple[float, ...] = (0.5, 1.0, 2.0),
-    spread_tol: float = 2e-7,
-    quad_tol: float = 1e-10,
 ) -> list[Check]:
     """Parameter elimination: f extracted from raw convolution quadrature
-    must not depend on (lam, a)."""
+    must not depend on (lam, a); the spread must stay within 2e-7."""
     checks = []
     for n in ns:
         for y in ys:
-            vals = [f_from_conv(ConvParams(lam, a), n, y, quad_tol) for lam, a in pairs]
+            vals = [f_from_conv(ConvParams(lam, a), n, y) for lam, a in ELIMINATION_PAIRS]
             spread = max(vals) - min(vals)
             checks.append(
                 Check(
                     f"elimination n={n} y={y}",
-                    spread <= spread_tol,
-                    f"spread over {len(pairs)} parameter pairs = {spread:.3g}",
+                    spread <= 2e-7,
+                    f"spread over {len(ELIMINATION_PAIRS)} parameter pairs = {spread:.3g}",
                 )
             )
     return checks

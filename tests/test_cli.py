@@ -1,8 +1,10 @@
+import argparse
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +15,7 @@ import pytest
 import convpow.cli as cli
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
+README = Path(SRC).parent / "README.md"
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
@@ -27,8 +30,45 @@ def test_payload_schema(capsys):
     assert rc == 0
     assert sorted(payload) == ["checks", "command", "config", "elapsed_ms", "results"]
     assert payload["command"] == "amatrix"
-    assert payload["config"]["order"] == 64
     assert payload["config"]["fmt"] == "json"
+    rc, payload = run_json(capsys, ["beta", "1"])
+    assert payload["config"]["order"] == 64
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        (["amatrix", "3"], ["fmt"]),
+        (["qcoeff", "2", "4"], ["fmt"]),
+        (["beta", "1"], ["order", "precision", "fmt"]),
+        (["eval", "1", "1", "--skip-oracles"], ["order", "precision", "quad_tol", "compare_tol", "fmt"]),
+        (["verify", "table1"], ["fmt"]),
+    ],
+)
+def test_config_lists_only_settings_read(capsys, command, config):
+    rc, payload = run_json(capsys, command)
+    assert list(payload["config"]) == config
+
+
+UNREAD_FLAGS = [
+    (command, flag)
+    for command, flags in [
+        (["amatrix", "3"], ["-N", "--order", "--prec", "--tol", "--compare-tol"]),
+        (["qcoeff", "2", "4"], ["-N", "--order", "--prec", "--tol", "--compare-tol"]),
+        (["beta", "1"], ["--tol", "--compare-tol"]),
+        (["verify", "table1"], ["-N", "--order", "--prec", "--tol", "--compare-tol"]),
+    ]
+    for flag in flags
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS, ids=[f"{c[0]}{f}" for c, f in UNREAD_FLAGS])
+def test_unread_shared_flag_is_usage_error(capsys, command, flag):
+    # a setting the subcommand would ignore is refused, not echoed in config
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, flag, "64"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_amatrix_table(capsys):
@@ -163,6 +203,7 @@ def test_verify_dualpath_args(capsys):
         (["verify", "dualpath", "--nmax", "1"], "ran no checks"),
         (["verify", "stirling", "--nmax", "-3"], "ran no checks"),
         (["verify", "beta", "--nmax", "0"], "needs n_max >= 1"),
+        (["verify", "specials", "--smax", "-1"], "needs s_max >= 0"),
     ],
 )
 def test_verify_ignored_flag_or_no_checks_is_usage_error(capsys, argv, reason):
@@ -201,7 +242,8 @@ def test_order_flag(capsys):
 
 def test_config_validation(capsys):
     assert cli.main(["beta", "1", "-N", "4"]) == 2
-    assert cli.main(["beta", "1", "--tol", "-1"]) == 2
+    assert cli.main(["eval", "1", "1", "--tol", "-1"]) == 2
+    assert cli.main(["eval", "1", "1", "--compare-tol", "0"]) == 2
     assert cli.main(["beta", "1", "--prec", "8"]) == 2
 
 
@@ -247,3 +289,23 @@ def test_series_path_loads_neither_numpy_nor_scipy():
     assert (series_rc, series_loaded) == (0, [])
     # the oracles still run on numpy and scipy
     assert (oracle_rc, oracle_loaded) == (0, ["numpy", "scipy"])
+
+
+def _readme_flags() -> dict[str, set[str]]:
+    """The flags README's CLI section lists in each subcommand's bullet."""
+    section = README.read_text().split("## CLI quick start", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- `(\w+)[^`]*`:(.*?)(?=^\S|\Z)", section, re.M | re.S)
+    return {
+        name: {flag for spelled in re.findall(r"`(-[^`\s]*)`", body) for flag in spelled.split("/")}
+        for name, body in bullets
+    }
+
+
+def test_readme_lists_every_flag_of_every_subcommand():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    readme = _readme_flags()
+    assert sorted(readme) == sorted(sub.choices)
+    for name, parser in sub.choices.items():
+        flags = {o for action in parser._actions for o in action.option_strings} - {"-h", "--help"}
+        # both ways: each flag is documented, and each documented flag exists
+        assert readme[name] == flags, name

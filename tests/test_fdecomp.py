@@ -235,6 +235,19 @@ def test_each_q_series_is_evaluated_once_per_point(monkeypatch):
     assert len(calls) == 8  # Q_2..Q_9; Q_0 = 1 and Q_1 = 0 are constants
 
 
+def test_each_beta_level_is_built_once(monkeypatch):
+    # level n extends the cached level n - 1, so filling f_1..f_9 evaluates
+    # J^m at x = n once for each 1 <= m <= n <= 9: 45 evaluations, not 165
+    beta_table.cache_clear()
+    make_f_evaluator.cache_clear()
+    calls = []
+    eval_j = fdecomp._eval_j
+    monkeypatch.setattr(fdecomp, "_eval_j", lambda *args: calls.append(args) or eval_j(*args))
+    for n in range(1, 10):
+        make_f_evaluator(n)
+    assert len(calls) == 45
+
+
 def test_pipeline_never_builds_the_fraction_view(monkeypatch):
     # every pipeline step reads a series' integers over its denominator;
     # the Fraction tuple is built only for callers that ask for it
