@@ -1,27 +1,20 @@
-"""Exact combinatorial primitives shared by the coefficient recurrences.
+"""The unsigned Stirling numbers of the first kind, the one exact
+combinatorial primitive the coefficient recurrences need that the standard
+library lacks (binomials, falling factorials and factorial products come
+from ``math.comb``, ``math.perm`` and ``math.prod``).
 
-Everything here returns plain Python ints, so results stay exact at any
-size.  The unsigned Stirling triangle is memoized process-wide and grown
-on demand; completed rows are stored as immutable tuples.
+The triangle holds plain Python ints, so results stay exact at any size.
+It is memoized process-wide and grown on demand; completed rows are
+stored as immutable tuples.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 
 # Row k holds s(k, 0), ..., s(k, k).
 _STIRLING_ROWS: list[tuple[int, ...]] = [(1,)]
 _STIRLING_LOCK = threading.Lock()
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); k outside [0, n] gives 0."""
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def stirling1_unsigned(k: int, n: int) -> int:
@@ -48,35 +41,3 @@ def stirling1_unsigned(k: int, n: int) -> int:
                 )
                 _STIRLING_ROWS.append(row)
     return _STIRLING_ROWS[k][n]
-
-
-def rising_factorial(x: int, m: int) -> int:
-    """Rising factorial x(x+1)...(x+m-1), with the empty product = 1."""
-    if m < 0:
-        raise ValueError(f"rising_factorial requires m >= 0, got m={m}")
-    out = 1
-    for i in range(m):
-        out *= x + i
-    return out
-
-
-def falling_factorial(x: int, m: int) -> int:
-    """Falling factorial x(x-1)...(x-m+1), with the empty product = 1."""
-    if m < 0:
-        raise ValueError(f"falling_factorial requires m >= 0, got m={m}")
-    out = 1
-    for i in range(m):
-        out *= x - i
-    return out
-
-
-def superfactorial(s: int) -> int:
-    """Product of the first s factorials, 0! * 1! * ... * s!."""
-    if s < 0:
-        raise ValueError(f"superfactorial requires s >= 0, got s={s}")
-    out = 1
-    fact = 1
-    for k in range(1, s + 1):
-        fact *= k
-        out *= fact
-    return out

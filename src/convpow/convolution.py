@@ -4,7 +4,8 @@ the bridges between those and the exact series evaluator.
 The kernel is phi(x) = 0 for x < lam, 1/(x + a) for x >= lam, with
 lam + a > 0.  Its n-fold self-convolution phi*n vanishes below n*lam and
 is computed here by recursive adaptive quadrature -- deliberately naive,
-so it shares nothing with the series path it cross-checks.
+so it shares nothing with the series path it cross-checks, and so costly
+that it stops at the fixed depth limit ``DEFAULT_MAX_DEPTH``.
 
 The parameter-free normal form f_{n-1} connects the two worlds:
 
@@ -14,7 +15,9 @@ so ``reconstruct_from_f`` maps series evaluations to convolution values
 and ``f_from_conv`` inverts that to extract f from raw quadrature.  A
 separate single-variable oracle ``f_quadrature_oracle`` iterates the
 integral recurrence f_k(y) = int_0^y f_{k-1}(s)/(s+k) ds on refining
-Simpson grids, giving a third, independent route to f.
+Simpson grids, giving a third, independent route to f.  Its first and
+largest grids are the module constants ``_ORACLE_PANELS`` and
+``_ORACLE_MAX_PANELS``.
 """
 
 from __future__ import annotations
@@ -27,9 +30,13 @@ from .fdecomp import f_eval
 from .quadrature import QuadratureError, adaptive_quad, cumulative_simpson_uniform
 from .series import DEFAULT_ORDER, DEFAULT_PREC
 
-#: Cost of the recursive quadrature grows exponentially with depth; powers
-#: beyond this need an explicit opt-in.
+#: Cost of the recursive quadrature grows exponentially with depth; it
+#: computes no power above this one.
 DEFAULT_MAX_DEPTH = 4
+
+#: The f oracle's first grid, in Simpson panels, and the grid it gives up at.
+_ORACLE_PANELS = 4096
+_ORACLE_MAX_PANELS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -51,14 +58,8 @@ def varphi(params: ConvParams, x: float) -> float:
     return 1.0 / (x + params.a)
 
 
-def conv_power_quadrature(
-    params: ConvParams,
-    n: int,
-    x: float,
-    tol: float = 1e-10,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> float:
-    """phi*n(x) by recursive adaptive quadrature.
+def conv_power_quadrature(params: ConvParams, n: int, x: float, tol: float = 1e-10) -> float:
+    """phi*n(x) by recursive adaptive quadrature, for n <= DEFAULT_MAX_DEPTH.
 
     Each level integrates the previous power against the kernel over the
     support-respecting interval [(n-1)*lam, x - lam].  Inner values are
@@ -67,10 +68,10 @@ def conv_power_quadrature(
     """
     if n < 1:
         raise ValueError(f"convolution power requires n >= 1, got n={n}")
-    if n > max_depth:
+    if n > DEFAULT_MAX_DEPTH:
         raise ValueError(
-            f"n={n} exceeds max_depth={max_depth}; nested quadrature cost is "
-            "exponential in n -- raise max_depth explicitly if you mean it"
+            f"n={n} exceeds the nested-quadrature depth limit {DEFAULT_MAX_DEPTH}; "
+            "its cost is exponential in n"
         )
     memo: dict[tuple[int, float], float] = {}
 
@@ -109,13 +110,7 @@ def reconstruct_from_f(
     return math.factorial(n) / (x + n * params.a) * float(f_eval(n - 1, y, order, prec).value)
 
 
-def f_from_conv(
-    params: ConvParams,
-    n: int,
-    y: float,
-    tol: float = 1e-10,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> float:
+def f_from_conv(params: ConvParams, n: int, y: float, tol: float = 1e-10) -> float:
     """f_{n-1}(y) extracted from a raw quadrature value of phi*n.
 
     The result must not depend on the kernel parameters; running this for
@@ -128,7 +123,7 @@ def f_from_conv(
         raise ValueError(f"normal-form argument must be >= 0, got y={y}")
     scale = params.lam + params.a
     x = scale * y + n * params.lam
-    conv = conv_power_quadrature(params, n, x, tol, max_depth)
+    conv = conv_power_quadrature(params, n, x, tol)
     return (y + n) / math.factorial(n) * scale * conv
 
 
@@ -144,19 +139,14 @@ def _f_oracle_on_grid(n: int, y: float, panels: int) -> float:
     return float(f[-1])
 
 
-def f_quadrature_oracle(
-    n: int,
-    y: float,
-    tol: float = 1e-10,
-    panels: int = 4096,
-    max_panels: int = 1 << 16,
-) -> float:
+def f_quadrature_oracle(n: int, y: float, tol: float = 1e-10) -> float:
     """f_n(y) by iterating f_k(y) = int_0^y f_{k-1}(s)/(s+k) ds numerically.
 
-    Starts from f_0 = 1 on a uniform grid over [0, y], integrating with the
-    cumulative Simpson rule, and doubles the grid until two consecutive
-    refinements agree to ``tol``.  Completely independent of the series
-    machinery (and of the kernel parameters).
+    Starts from f_0 = 1 on a uniform grid of ``_ORACLE_PANELS`` panels over
+    [0, y], integrating with the cumulative Simpson rule, and doubles the
+    grid until two consecutive refinements agree to ``tol``; past
+    ``_ORACLE_MAX_PANELS`` it raises QuadratureError.  Completely
+    independent of the series machinery (and of the kernel parameters).
     """
     if n < 0:
         raise ValueError(f"f index must be >= 0, got n={n}")
@@ -166,10 +156,10 @@ def f_quadrature_oracle(
         return 1.0
     if y == 0:
         return 0.0
-    prev = _f_oracle_on_grid(n, y, panels)
-    m = panels
+    m = _ORACLE_PANELS
+    prev = _f_oracle_on_grid(n, y, m)
     change = None
-    while m < max_panels:
+    while m < _ORACLE_MAX_PANELS:
         m *= 2
         cur = _f_oracle_on_grid(n, y, m)
         change = abs(cur - prev)
@@ -182,13 +172,7 @@ def f_quadrature_oracle(
     )
 
 
-def j_iterate_from_f_oracle(
-    n: int,
-    x: float,
-    betas: Sequence[float],
-    tol: float = 1e-10,
-    panels: int = 4096,
-) -> float:
+def j_iterate_from_f_oracle(n: int, x: float, betas: Sequence[float]) -> float:
     """Numerical value of the n-th J-iterate at x, from the f oracle alone.
 
     A verification path: the reference the tests hold ``build_j_iterate``
@@ -212,6 +196,6 @@ def j_iterate_from_f_oracle(
         raise ValueError(f"need beta_0..beta_{n}, got {len(betas)} values")
     j_vals = [1.0]
     for m in range(1, n + 1):
-        fm = f_quadrature_oracle(m, x - m, tol, panels)
+        fm = f_quadrature_oracle(m, x - m)
         j_vals.append(fm - sum(float(betas[k]) * j_vals[m - k] for k in range(1, m + 1)))
     return j_vals[n]

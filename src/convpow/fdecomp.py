@@ -64,6 +64,9 @@ from .series import (
     logseries_eval,
 )
 
+#: Quadrature tolerance of both sides of the reflection identity.
+_REFLECTION_TOL = 1e-10
+
 
 @lru_cache(maxsize=None)
 def build_j_iterate(n: int, order: int = DEFAULT_ORDER) -> LogSeries:
@@ -125,13 +128,16 @@ def beta_table(n_max: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC)
 
     Level n_max extends the cached table of level n_max - 1 by one row, so
     filling levels 1..n evaluates each J-iterate at each integer point once.
+    The lower levels are requested bottom-up, so a cold call recurses one
+    level at most.
     """
     if n_max < 0:
         raise ValueError(f"beta index must be >= 0, got {n_max}")
     if n_max == 0:
         return BetaTable((mpmath.mpf(1),), (mpmath.mpf(0),))
     # positional, as make_f_evaluator passes them: lru_cache keys on the arguments as given
-    lower = beta_table(n_max - 1, order, prec)
+    for k in range(n_max):
+        lower = beta_table(k, order, prec)
     at = _Point(Fraction(n_max))
     with mpmath.workprec(prec):
         acc = mpmath.mpf(0)
@@ -186,14 +192,9 @@ def f_eval(n: int, y, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC) -> E
     return make_f_evaluator(n, order, prec).eval(y)
 
 
-def derivative_residual(
-    n: int,
-    y,
-    h,
-    order: int = DEFAULT_ORDER,
-    prec: int = DEFAULT_PREC,
-) -> float:
-    """|(y + n) * central-difference f_n'(y) - f_{n-1}(y)|.
+def derivative_residual(n: int, y, h) -> float:
+    """|(y + n) * central-difference f_n'(y) - f_{n-1}(y)|, at the default
+    order and precision.
 
     The defining differential identity is f_n'(y) = f_{n-1}(y) / (y + n);
     with exact arithmetic at the stencil points the residual is pure
@@ -205,26 +206,21 @@ def derivative_residual(
     hf = _exact(h)
     if not 0 < hf < yf:
         raise ValueError(f"need 0 < h < y, got h={hf}, y={yf}")
-    ev = make_f_evaluator(n, order, prec)
-    ev_prev = make_f_evaluator(n - 1, order, prec)
-    with mpmath.workprec(prec):
+    ev = make_f_evaluator(n, DEFAULT_ORDER, DEFAULT_PREC)
+    ev_prev = make_f_evaluator(n - 1, DEFAULT_ORDER, DEFAULT_PREC)
+    with mpmath.workprec(DEFAULT_PREC):
         fd = (ev.eval(yf + hf).value - ev.eval(yf - hf).value) / (2 * _to_mpf(hf))
         residual = abs((_to_mpf(yf) + n) * fd - ev_prev.eval(yf).value)
     return float(residual)
 
 
-def reflection_residual(
-    n: int,
-    y: float,
-    order: int = DEFAULT_ORDER,
-    prec: int = DEFAULT_PREC,
-    tol: float = 1e-10,
-) -> float:
+def reflection_residual(n: int, y: float) -> float:
     """Residual of the reflection identity
 
         int_0^y f_n(s)/(y - s + 1) ds = (n + 1) * int_0^y f_n(s)/(s + n + 1) ds,
 
-    with both sides computed by adaptive quadrature over the evaluated f_n.
+    with both sides computed by adaptive quadrature, to ``_REFLECTION_TOL``,
+    over f_n evaluated at the default order and precision.
     Both quadratures sample the same nodes, so f_n is evaluated once per
     node for the duration of the call.
     """
@@ -232,7 +228,7 @@ def reflection_residual(
         raise ValueError(f"f index must be >= 0, got n={n}")
     if y < 0:
         raise ValueError(f"upper limit must be >= 0, got y={y}")
-    ev = make_f_evaluator(n, order, prec)
+    ev = make_f_evaluator(n, DEFAULT_ORDER, DEFAULT_PREC)
     seen: dict[float, float] = {}
 
     def f_of(s: float) -> float:
@@ -240,6 +236,6 @@ def reflection_residual(
             seen[s] = float(ev.eval(s).value)
         return seen[s]
 
-    lhs = adaptive_quad(lambda s: f_of(s) / (y - s + 1.0), 0.0, y, tol)
-    rhs = adaptive_quad(lambda s: f_of(s) / (s + n + 1.0), 0.0, y, tol)
+    lhs = adaptive_quad(lambda s: f_of(s) / (y - s + 1.0), 0.0, y, _REFLECTION_TOL)
+    rhs = adaptive_quad(lambda s: f_of(s) / (s + n + 1.0), 0.0, y, _REFLECTION_TOL)
     return abs(lhs - (n + 1) * rhs)

@@ -37,9 +37,12 @@ reflection and convolution identities from level 4 upward.  The
 
 Both recurrences build one level at a time: level n is cached per
 truncation order and computed from the cached level n - 1, so every
-level is built once however many callers ask for it.  The full
-recurrence also builds each S[Q_k] = Q_k - nabla[Q_k] (``shift_s``) once
-per (level, order) and reuses it at every higher level.
+level is built once however many callers ask for it.  A level requests
+the ones below it bottom-up, each of which then finds its own lower
+levels cached, so no call recurses more than one level deep and deep
+levels need no deep stack.  The full recurrence also builds each
+S[Q_k] = Q_k - nabla[Q_k] (``shift_s``) once per (level, order) and
+reuses it at every higher level.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .amatrix import compute_a_matrix
-from .combinatorics import binomial, stirling1_unsigned
+from .combinatorics import stirling1_unsigned
 from .series import DEFAULT_ORDER, PowerSeriesInvX, backward_diff, harmonic_h, li1_power, shift_s
 
 
@@ -58,13 +61,15 @@ def _neg_h_pure(arg: PowerSeriesInvX) -> PowerSeriesInvX:
 
     A nonzero constant term would integrate to a logarithm, which cannot
     be represented in the pure-series return type; that happening means
-    the recurrence invariants were violated upstream.
+    the recurrence invariants were violated upstream.  The argument is
+    negated before H, so the result is a series of its own, not the
+    negative of another one that would have to stay alive with it.
     """
     if arg.ints[0]:
         raise ArithmeticError(
             f"nonzero constant term {arg.coeff(0)} would put a ln(x) into a pure series"
         )
-    return -harmonic_h(arg).part(0)
+    return harmonic_h(-arg).part(0)
 
 
 @lru_cache(maxsize=None)
@@ -83,7 +88,8 @@ def q_via_recurrence(n: int, order: int = DEFAULT_ORDER) -> PowerSeriesInvX:
         return PowerSeriesInvX.constant(1, order)
     if n == 1:
         return PowerSeriesInvX.zero(order)  # initial data, see module docstring
-    prev = q_via_recurrence(n - 1, order)
+    for k in range(1, n):  # bottom-up, so a cold call recurses one level at most
+        prev = q_via_recurrence(k, order)
     return _neg_h_pure(li1_power(n - 1, order) - backward_diff(prev))
 
 
@@ -106,13 +112,12 @@ def q_closed_form(n_plus_1: int, s: int) -> Fraction:
     n = n_plus_1 - 1
     if s < n:
         return Fraction(0)
-    a = compute_a_matrix(s)
-    total = 0
-    for nu in range(n):
-        for sigma in range(nu, nu + s - n + 1):
-            entry = a.entry(sigma, nu)
-            if entry:
-                total += stirling1_unsigned(s - sigma, n - nu) * binomial(s, sigma) * entry
+    rows = compute_a_matrix(s).rows
+    total = sum(
+        stirling1_unsigned(s - sigma, n - nu) * math.comb(s, sigma) * rows[sigma][nu]
+        for nu in range(n)
+        for sigma in range(nu, nu + s - n + 1)  # sigma >= nu: on or below the diagonal
+    )
     return Fraction(total, s * math.factorial(s))
 
 
@@ -134,8 +139,8 @@ def log_expansion_q_list(n_max: int, order: int = DEFAULT_ORDER) -> tuple[PowerS
     family starts 5/9 * x^{-3}).
 
     Only level n_max is built here; the lower levels are the cached
-    ``log_expansion_q_list(n_max - 1, order)``, shared element by element,
-    and S[Q_j] comes from ``_shifted``.  The bracket is assembled as
+    ``log_expansion_q_list(n_max - 1, order)``, requested bottom-up and
+    shared element by element, and S[Q_j] comes from ``_shifted``.  The bracket is assembled as
     S[Q_k] - Q_k + sum_{j<k} S[Q_j] * li1_power(k-j), which is the one
     above since S[Q_k] - Q_k = -nabla[Q_k].
     """
@@ -145,7 +150,8 @@ def log_expansion_q_list(n_max: int, order: int = DEFAULT_ORDER) -> tuple[PowerS
         raise ValueError(f"order must be >= 1, got {order}")
     if n_max == 0:
         return (PowerSeriesInvX.constant(1, order),)
-    qs = log_expansion_q_list(n_max - 1, order)
+    for k in range(n_max):  # bottom-up, so a cold call recurses one level at most
+        qs = log_expansion_q_list(k, order)
     if n_max == 1:
         return qs + (PowerSeriesInvX.zero(order),)  # Q_1 = 0 is initial data
     k = n_max - 1

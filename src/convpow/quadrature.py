@@ -20,7 +20,11 @@ class QuadratureError(RuntimeError):
     """Raised when a quadrature fails to converge to the requested tolerance."""
 
 
-def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, limit: int = 200) -> float:
+#: Most subintervals the adaptive integrator may split [a, b] into.
+_SUBINTERVAL_LIMIT = 200
+
+
+def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive Gauss-Kronrod integral of f over [a, b].
 
     Empty or inverted intervals integrate to 0 (the recursive convolution
@@ -32,7 +36,7 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, limit: int = 200) -
         return 0.0
     from scipy import integrate as _integrate
 
-    result = _integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=limit, full_output=1)
+    result = _integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=_SUBINTERVAL_LIMIT, full_output=1)
     value, abserr = result[0], result[1]
     if len(result) > 3:
         # full_output=1 appends an explanation string only on failure

@@ -378,22 +378,25 @@ class _Point:
     at it.
 
     It keeps the powers of p and, per precision, p^N, x^(-N) and the powers
-    of ln x.  It also keeps each series' exact Horner sum and tail model
-    under the series it is a scalar multiple of (its root), so all scalar
-    multiples of one series cost one Horner: a multiple's sum is the root's
-    times num / div, exactly, and its tail ratio is the root's.  A point
+    of ln x.  It also keeps one record per root (the series every scalar
+    multiple of it points to) and precision: the root's exact Horner sum,
+    its reliability flag, 1 - rho, and the mpf of each scaled sum asked for.
+    So the range check, the Horner sum and the tail model are computed once
+    per root; a multiple's sum is the root's times num / div, exactly, and
+    its tail ratio is the root's.  The parts of the J-iterates that one
+    Q-series makes, (-1)^i Q_i / j!, share one scale: j! enters their
+    denominator, not num / div, so their sum is converted once.  A point
     lives for one evaluation; nothing is kept beyond it.
     """
 
-    __slots__ = ("x", "_powers", "_floats", "_weights", "_sums", "_terms")
+    __slots__ = ("x", "_powers", "_floats", "_weights", "_roots")
 
     def __init__(self, xf: Fraction):
         self.x = xf
         self._powers = {}  # N -> p^0..p^N
         self._floats = {}  # (N, prec) -> (mpf(p^N), x^(-N))
         self._weights = {}  # prec -> ([ln(x)^j], [|ln(x)|^j], ln(x))
-        self._sums = {}  # id(root) -> (root, exact Horner sum)
-        self._terms = {}  # (id(root), num, div, prec) -> terms(), shared by equal scales
+        self._roots = {}  # (id(root), prec) -> (root, exact Horner sum, reliable, 1 - rho, {(num, div): mpf})
 
     def powers(self, n: int) -> list[int]:
         ppow = self._powers.get(n)
@@ -433,26 +436,24 @@ class _Point:
         tail, and 1 - rho is None.
         """
         root, num, div = g._multiple or (g, 1, 1)
-        key = (id(root), num, div, prec)
-        got = self._terms.get(key)
-        if got is None:
-            summed = self._sums.get(id(root))
-            if summed is None:
-                if self.x < root.conv_abscissa:
-                    raise ValueError(
-                        f"evaluation point {self.x} is below the convergence abscissa {root.conv_abscissa}"
-                    )
-                summed = self._sums[id(root)] = (root, _horner(root.ints, self.x.denominator, self.powers(root.order)))
-            reliable, one_minus_rho = True, None
-            if ratio is not None:
-                rho = max(ratio, Fraction(1)) / self.x
-                reliable = rho < 1
-                rho = min(rho, _TAIL_RATIO_CAP)
+        got = self._roots.get((id(root), prec))
+        value = None if got is None else got[4].get((num, div))
+        if value is None:
             with mpmath.workprec(prec):
-                if ratio is not None:
-                    one_minus_rho = _to_mpf(1 - rho)
-                got = self._terms[key] = (mpmath.mpf(summed[1] * num // div), reliable, one_minus_rho)
-        return got
+                if got is None:
+                    if self.x < root.conv_abscissa:
+                        raise ValueError(
+                            f"evaluation point {self.x} is below the convergence abscissa {root.conv_abscissa}"
+                        )
+                    reliable, one_minus_rho = True, None
+                    if ratio is not None:
+                        rho = max(ratio, Fraction(1)) / self.x
+                        reliable = rho < 1
+                        one_minus_rho = _to_mpf(1 - min(rho, _TAIL_RATIO_CAP))
+                    summed = _horner(root.ints, self.x.denominator, self.powers(root.order))
+                    got = self._roots[id(root), prec] = (root, summed, reliable, one_minus_rho, {})
+                value = got[4][num, div] = mpmath.mpf(got[1] * num // div)
+        return value, got[2], got[3]
 
 
 def _point(x) -> _Point:

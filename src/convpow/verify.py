@@ -16,7 +16,6 @@ from fractions import Fraction
 import mpmath
 
 from .amatrix import a_determinant, check_special_values, compute_a_matrix
-from .combinatorics import superfactorial
 from .convolution import ConvParams, conv_power_quadrature, f_from_conv, f_quadrature_oracle, reconstruct_from_f
 from .fdecomp import beta_table, derivative_residual, f_eval, reflection_residual
 from .qcoeff import q_closed_form, q_via_recurrence
@@ -92,7 +91,7 @@ def suite_specials(s_max: int = 12) -> list[Check]:
         checks.append(Check(f"special-values s={s}", report["ok"], detail))
     for s in range(9):
         det = a_determinant(compute_a_matrix(s))
-        want = superfactorial(s)
+        want = math.prod(map(math.factorial, range(s + 1)))  # the superfactorial 0! 1! ... s!
         checks.append(
             Check(
                 f"determinant s={s}",

@@ -1,9 +1,9 @@
+import hashlib
 import math
 
 import pytest
 
 from convpow.amatrix import AMatrix, a_determinant, check_special_values, compute_a_matrix
-from convpow.combinatorics import superfactorial
 
 
 def test_smallest_matrix():
@@ -71,7 +71,16 @@ def test_determinants():
     assert a_determinant(compute_a_matrix(3)) == 12
     assert a_determinant(compute_a_matrix(6)) == 24883200
     for s in range(9):
-        assert a_determinant(compute_a_matrix(s)) == superfactorial(s)
+        assert a_determinant(compute_a_matrix(s)) == math.prod(math.factorial(k) for k in range(s + 1))
+
+
+def test_rows_frozen():
+    # sha256 over str() of the rows of A^0..A^40, frozen when each weight was
+    # still a hand-rolled binomial times rising factorial per (j, mu); any
+    # change to an entry shows here
+    rows = "\n".join(str(compute_a_matrix(s).rows) for s in range(41))
+    digest = hashlib.sha256(rows.encode()).hexdigest()
+    assert digest == "06751b216a6365ed7f307a85405b9b42ccb26f20cc9e7eef1080ead733e251e3"
 
 
 def test_interior_entries_positive():

@@ -265,6 +265,17 @@ def test_closed_stdout_pipe(argv):
     assert proc.returncode == 0
 
 
+def test_deep_level_is_not_a_traceback():
+    # level 1500 is far above the default recursion limit
+    proc = subprocess.run(
+        [sys.executable, "-m", "convpow.cli", "qcoeff", "1500", "2"],
+        capture_output=True, env=CHILD_ENV, text=True, timeout=120,
+    )
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["results"]["n"] == 1500
+
+
 IMPORT_GRAPH = """
 import contextlib, io, json, sys
 import convpow

@@ -4,13 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from convpow.combinatorics import (
-    binomial,
-    falling_factorial,
-    rising_factorial,
-    stirling1_unsigned,
-    superfactorial,
-)
+from convpow.amatrix import a_determinant, compute_a_matrix
+from convpow.combinatorics import stirling1_unsigned
+from convpow.verify import suite_specials
 
 
 def expand_rising(k):
@@ -29,25 +25,27 @@ def expand_rising(k):
 
 
 class TestBinomial:
+    """math.comb, which q_closed_form and the A^s weights use in place of a
+    hand-rolled binomial, on the arguments they pass it (0 <= k)."""
+
     def test_small_values(self):
-        assert binomial(4, 2) == 6
-        assert binomial(3, 0) == 1
+        assert math.comb(4, 2) == 6
+        assert math.comb(3, 0) == 1
 
     def test_out_of_range_is_zero(self):
-        assert binomial(2, 3) == 0
-        assert binomial(5, -1) == 0
+        assert math.comb(2, 3) == 0
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
-            binomial(-1, 0)
+            math.comb(-1, 0)
 
-    @given(st.integers(min_value=0, max_value=40), st.integers(min_value=-3, max_value=43))
+    @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=43))
     def test_symmetry(self, n, k):
-        assert binomial(n, k) == binomial(n, n - k)
+        assert math.comb(n, k) == (math.comb(n, n - k) if k <= n else 0)
 
-    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=40))
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40))
     def test_pascal_recurrence(self, n, k):
-        assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+        assert math.comb(n, k) == math.comb(n - 1, k - 1) + math.comb(n - 1, k)
 
 
 class TestStirlingFirstKind:
@@ -89,30 +87,44 @@ class TestStirlingFirstKind:
         assert stirling1_unsigned(k + 1, n) == stirling1_unsigned(k, n - 1) + k * stirling1_unsigned(k, n)
 
 
+def product(lo, hi):
+    """lo * (lo+1) * ... * hi by plain multiplication, 1 when empty: the
+    oracle for the math.perm forms of the rising and falling factorials."""
+    out = 1
+    for i in range(lo, hi + 1):
+        out *= i
+    return out
+
+
 class TestFactorialProducts:
+    """The standard-library forms the A^s code and its checks use for rising,
+    falling and superfactorials: the rising factorial x^(rising m) in each
+    row weight is math.perm(x+m-1, m), the falling factorial of column 1 is
+    math.perm, and the determinants are products of factorials."""
+
     def test_rising_examples(self):
-        assert rising_factorial(3, 0) == 1
-        assert rising_factorial(3, 2) == 12
-        assert rising_factorial(1, 4) == 24
+        assert math.perm(3 + 0 - 1, 0) == product(3, 2) == 1
+        assert math.perm(3 + 2 - 1, 2) == product(3, 4) == 12
+        assert math.perm(1 + 4 - 1, 4) == product(1, 4) == 24
 
     def test_falling_examples(self):
-        assert falling_factorial(3, 0) == 1
-        assert falling_factorial(3, 2) == 6
-        assert falling_factorial(3, 4) == 0  # hits the zero factor
+        assert math.perm(3, 0) == 1
+        assert math.perm(3, 2) == product(2, 3) == 6
+        assert math.perm(3, 4) == 0  # past the zero factor
 
-    @given(st.integers(min_value=-20, max_value=20), st.integers(min_value=0, max_value=10))
+    @given(st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=10))
     def test_falling_is_shifted_rising(self, x, m):
-        assert falling_factorial(x, m) == rising_factorial(x - m + 1, m)
+        assert math.perm(x + m - 1, m) == product(x, x + m - 1)
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
-            rising_factorial(3, -1)
-        with pytest.raises(ValueError):
-            falling_factorial(3, -2)
+            math.perm(3, -1)
 
     def test_superfactorial_values(self):
-        assert [superfactorial(s) for s in range(6)] == [1, 1, 2, 12, 288, 34560]
+        want = [1, 1, 2, 12, 288, 34560]
+        assert [math.prod(map(math.factorial, range(s + 1))) for s in range(6)] == want
+        assert [a_determinant(compute_a_matrix(s)) for s in range(6)] == want
 
     def test_superfactorial_negative_rejected(self):
-        with pytest.raises(ValueError):
-            superfactorial(-1)
+        with pytest.raises(ValueError, match="s_max >= 0"):
+            suite_specials(-1)

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from convpow import convolution
 from convpow.convolution import (
     DEFAULT_MAX_DEPTH,
     ConvParams,
@@ -57,7 +58,7 @@ def test_conv_vanishes_below_cutoff():
 
 def test_conv_depth_cap():
     p = ConvParams(0.0, 1.0)
-    with pytest.raises(ValueError, match="max_depth"):
+    with pytest.raises(ValueError, match=f"depth limit {DEFAULT_MAX_DEPTH}; its cost is exponential"):
         conv_power_quadrature(p, DEFAULT_MAX_DEPTH + 1, 1.0)
     with pytest.raises(ValueError):
         conv_power_quadrature(p, 0, 1.0)
@@ -136,13 +137,15 @@ def test_oracle_matches_series_path():
     assert abs(f_quadrature_oracle(2, 2.0) - float(f_eval(2, 2.0).value)) < 1e-7
 
 
-def test_oracle_validation_and_stall():
+def test_oracle_validation_and_stall(monkeypatch):
     with pytest.raises(ValueError):
         f_quadrature_oracle(-1, 1.0)
     with pytest.raises(ValueError):
         f_quadrature_oracle(1, -1.0)
+    monkeypatch.setattr(convolution, "_ORACLE_PANELS", 8)
+    monkeypatch.setattr(convolution, "_ORACLE_MAX_PANELS", 16)
     with pytest.raises(QuadratureError, match="stalled"):
-        f_quadrature_oracle(2, 3.0, tol=1e-16, panels=8, max_panels=16)
+        f_quadrature_oracle(2, 3.0, tol=1e-16)
 
 
 def test_oracle_triangle_spot_checks():

@@ -1,11 +1,15 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from convpow import qcoeff, series
-from convpow.combinatorics import binomial, stirling1_unsigned
+from convpow.combinatorics import stirling1_unsigned
+from convpow.fdecomp import build_j_iterate
 from convpow.qcoeff import _neg_h_pure, log_expansion_q_list, q_closed_form, q_via_recurrence
 from convpow.series import PowerSeriesInvX, backward_diff, li1_power, shift_s
 
@@ -30,7 +34,7 @@ def q3_bracket(k):
     q_{3,k} = ( s(k,2)/k! + sum_{r=1}^{k-1} C(k-1,r)/(k-r)^2 ) / k.
     """
     acc = F(stirling1_unsigned(k, 2), math.factorial(k))
-    acc += sum(binomial(k - 1, r) * F(1, (k - r) ** 2) for r in range(1, k))
+    acc += sum(math.comb(k - 1, r) * F(1, (k - r) ** 2) for r in range(1, k))
     return acc / k
 
 
@@ -157,6 +161,28 @@ def test_each_level_is_built_once():
     assert q_via_recurrence.cache_info().misses == 10
 
 
+DEEP_LEVELS = """
+import sys
+from convpow.fdecomp import beta_table
+from convpow.qcoeff import log_expansion_q_list, q_via_recurrence
+sys.setrecursionlimit(40)
+log_expansion_q_list(50, 8)
+q_via_recurrence(50, 8)
+beta_table(50, 8, 64)
+print("reached level 50")
+"""
+
+
+def test_cold_levels_above_the_recursion_limit():
+    # each of these requests its lower levels bottom-up, so a cold call to
+    # level 50 needs far fewer than 50 frames
+    src = os.path.dirname(os.path.dirname(qcoeff.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", DEEP_LEVELS], capture_output=True, env=env, text=True, timeout=300)
+    assert proc.stderr == ""
+    assert proc.stdout == "reached level 50\n"
+
+
 def test_each_nabla_is_built_once(monkeypatch):
     for module in (series, qcoeff):
         for fn in vars(module).values():
@@ -180,6 +206,25 @@ def test_log_expansion_coefficients_frozen():
     qs = log_expansion_q_list(12, 64)
     digest = hashlib.sha256("\n".join(str(c) for q in qs for c in q.coeffs).encode()).hexdigest()
     assert digest == "67efa8b35ece0568d8eb241edafdca1b3c7c883987d6b16b23d9af3cc09c8d33"
+
+
+def test_closed_form_frozen():
+    # sha256 over str() of q_closed_form(n, s) on the dualpath rectangle,
+    # frozen when the sum still ran on hand-rolled binomials
+    values = "\n".join(str(q_closed_form(n, s)) for n in range(2, 9) for s in range(41))
+    digest = hashlib.sha256(values.encode()).hexdigest()
+    assert digest == "4fb7107e0771c21a362d1af7df06f6791efd0fb7f0912e09b72d8959e425e431"
+
+
+def test_each_q_series_is_its_own_root():
+    # no Q-series is the negative of a twin kept alive with it, and every
+    # part of every J-iterate is a multiple of the Q-series it is built from
+    build_j_iterate.cache_clear()  # iterates built before another test cleared the Q cache
+    qs = log_expansion_q_list(10, 64)
+    assert all(q._multiple is None for q in qs)
+    for m in range(11):
+        parts = build_j_iterate(m, 64).parts
+        assert all(parts[j]._multiple[0] is log_expansion_q_list(m, 64)[m - j] for j in range(m + 1)), m
 
 
 def test_log_expansion_input_validation():
@@ -224,7 +269,7 @@ def _at_x_minus_one(parts):
         for m in range(i + 1):
             li_pow = li1_power(i - m, order) * F(math.factorial(i - m))
             sign = F((-1) ** (i - m))
-            out[m] = out[m] + shifted * (sign * binomial(i, m)) * li_pow
+            out[m] = out[m] + shifted * (sign * math.comb(i, m)) * li_pow
     return out
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from convpow import quadrature
 from convpow.quadrature import QuadratureError, adaptive_quad, cumulative_simpson_uniform
 
 
@@ -15,10 +16,11 @@ def test_adaptive_quad_empty_interval():
     assert adaptive_quad(math.exp, 2.0, 1.0) == 0.0
 
 
-def test_adaptive_quad_reports_failure():
+def test_adaptive_quad_reports_failure(monkeypatch):
     # highly oscillatory with a tiny subdivision limit
+    monkeypatch.setattr(quadrature, "_SUBINTERVAL_LIMIT", 3)
     with pytest.raises(QuadratureError):
-        adaptive_quad(lambda x: math.sin(1.0 / x) / x, 1e-8, 1.0, tol=1e-12, limit=3)
+        adaptive_quad(lambda x: math.sin(1.0 / x) / x, 1e-8, 1.0, tol=1e-12)
 
 
 def test_cumulative_simpson_exact_on_quadratics():

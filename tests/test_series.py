@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convpow import series
-from convpow.combinatorics import binomial
 from convpow.series import (
     LogSeries,
     PowerSeriesInvX,
@@ -145,11 +144,11 @@ def test_nabla_of_li2_frozen_oracle_values():
     """
     got = backward_diff(li2_series(4))
     direct = [
-        -sum(binomial(k - 1, r) * F(1, (k - r) ** 2) for r in range(1, k))
+        -sum(math.comb(k - 1, r) * F(1, (k - r) ** 2) for r in range(1, k))
         for k in (2, 3, 4)
     ]
     composed = [
-        F(1, m * m) - sum(binomial(m - 1, j - 1) * F(1, j * j) for j in range(1, m + 1))
+        F(1, m * m) - sum(math.comb(m - 1, j - 1) * F(1, j * j) for j in range(1, m + 1))
         for m in (2, 3, 4)
     ]
     assert direct == composed == [F(-1), F(-3, 2), F(-25, 12)]
@@ -195,7 +194,7 @@ def series_pairs(draw):
 
 def nabla_brute(a):
     """Reference backward difference on Fractions, straight from the formula."""
-    return [-sum((binomial(k - 1, r) * a[k - r] for r in range(1, k)), F(0)) for k in range(len(a))]
+    return [-sum((math.comb(k - 1, r) * a[k - r] for r in range(1, k)), F(0)) for k in range(len(a))]
 
 
 def assert_exact(got, coeffs, abscissa):
