@@ -20,16 +20,17 @@ suite asserts directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 
-@dataclass(frozen=True)
 class AMatrix:
     """Rows of the size-s triangular matrix; ``rows[m][j]`` with j <= m <= s."""
 
-    s: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("s", "rows")
+
+    def __init__(self, s: int, rows: tuple[tuple[int, ...], ...]):
+        self.s = s
+        self.rows = rows
 
     def entry(self, m: int, j: int) -> int:
         """A^s_{m,j}, with entries above the diagonal defined as 0."""

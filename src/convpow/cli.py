@@ -23,13 +23,11 @@ status still reports the checks.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import asdict
 
 from . import verify as verify_mod
 from .amatrix import a_determinant, check_special_values, compute_a_matrix
@@ -255,8 +253,14 @@ _HANDLERS = {
 }
 
 
+def _check_row(c: verify_mod.Check) -> dict:
+    return {"name": c.name, "ok": c.ok, "detail": c.detail}
+
+
 def _emit_csv(results, checks, stream) -> None:
     """CSV output: the most tabular part of the results, else the checks."""
+    import csv
+
     rows = None
     if isinstance(results, dict):
         for value in results.values():
@@ -264,7 +268,7 @@ def _emit_csv(results, checks, stream) -> None:
                 rows = value
                 break
     if rows is None and checks:
-        rows = [asdict(c) for c in checks]
+        rows = [_check_row(c) for c in checks]
     if rows is None:
         rows = [{"key": k, "value": v} for k, v in (results or {}).items()]
     writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()))
@@ -292,7 +296,7 @@ def main(argv=None) -> int:
                 "command": args.command,
                 "config": cfg,
                 "results": results,
-                "checks": [asdict(c) for c in checks],
+                "checks": [_check_row(c) for c in checks],
                 "elapsed_ms": round(elapsed_ms, 3),
             }
             json.dump(payload, sys.stdout, indent=2)

@@ -23,7 +23,6 @@ largest grids are the module constants ``_ORACLE_PANELS`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .fdecomp import f_eval
@@ -39,16 +38,16 @@ _ORACLE_PANELS = 4096
 _ORACLE_MAX_PANELS = 1 << 16
 
 
-@dataclass(frozen=True)
 class ConvParams:
     """Kernel parameters: cutoff ``lam`` and shift ``a``, with lam + a > 0."""
 
-    lam: float
-    a: float
+    __slots__ = ("lam", "a")
 
-    def __post_init__(self):
-        if not self.lam + self.a > 0:
-            raise ValueError(f"need lam + a > 0, got lam={self.lam}, a={self.a}")
+    def __init__(self, lam: float, a: float):
+        if not lam + a > 0:
+            raise ValueError(f"need lam + a > 0, got lam={lam}, a={a}")
+        self.lam = lam
+        self.a = a
 
 
 def varphi(params: ConvParams, x: float) -> float:

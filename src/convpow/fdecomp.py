@@ -44,7 +44,6 @@ evaluated f_n satisfy the defining integral/differential identities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -103,7 +102,6 @@ def _eval_j(m: int, x, order: int, prec: int) -> EvalResult:
     return logseries_eval(build_j_iterate(m, order), at, prec)
 
 
-@dataclass(frozen=True)
 class BetaTable:
     """beta_0..beta_n as high-precision floats with tail estimates.
 
@@ -112,8 +110,11 @@ class BetaTable:
     exact (1 and 0).
     """
 
-    values: tuple[mpmath.mpf, ...]
-    tails: tuple[mpmath.mpf, ...]
+    __slots__ = ("values", "tails")
+
+    def __init__(self, values: tuple[mpmath.mpf, ...], tails: tuple[mpmath.mpf, ...]):
+        self.values = values
+        self.tails = tails
 
     def __len__(self) -> int:
         return len(self.values)
@@ -150,14 +151,16 @@ def beta_table(n_max: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC)
     return BetaTable(lower.values + (value,), lower.tails + (acc_tail,))
 
 
-@dataclass(frozen=True)
 class FEvaluator:
     """Evaluator for one f_n: beta constants plus the J-iterates it combines."""
 
-    n: int
-    order: int
-    prec: int
-    betas: BetaTable
+    __slots__ = ("n", "order", "prec", "betas")
+
+    def __init__(self, n: int, order: int, prec: int, betas: BetaTable):
+        self.n = n
+        self.order = order
+        self.prec = prec
+        self.betas = betas
 
     def eval(self, y) -> EvalResult:
         """f_n(y) for y >= 0; f_0 is exactly 1 and f_n(0) = 0 by construction."""
@@ -205,7 +208,7 @@ def derivative_residual(n: int, y, h) -> float:
     yf = _exact(y)
     hf = _exact(h)
     if not 0 < hf < yf:
-        raise ValueError(f"need 0 < h < y, got h={hf}, y={yf}")
+        raise ValueError(f"need 0 < h < y, got h={float(hf)}, y={float(yf)}")
     ev = make_f_evaluator(n, DEFAULT_ORDER, DEFAULT_PREC)
     ev_prev = make_f_evaluator(n - 1, DEFAULT_ORDER, DEFAULT_PREC)
     with mpmath.workprec(DEFAULT_PREC):

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
@@ -271,7 +270,6 @@ class LogSeries:
         return f"LogSeries(degree={self.degree}, order={self.order})"
 
 
-@dataclass(frozen=True)
 class EvalResult:
     """A float evaluation plus a heuristic bound on the truncation tail.
 
@@ -282,9 +280,21 @@ class EvalResult:
     bound.
     """
 
-    value: mpmath.mpf
-    tail_estimate: mpmath.mpf
-    tail_reliable: bool = True
+    __slots__ = ("value", "tail_estimate", "tail_reliable")
+
+    def __init__(self, value: mpmath.mpf, tail_estimate: mpmath.mpf, tail_reliable: bool = True):
+        self.value = value
+        self.tail_estimate = tail_estimate
+        self.tail_reliable = tail_reliable
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EvalResult):
+            return NotImplemented
+        return (self.value, self.tail_estimate, self.tail_reliable) == (
+            other.value, other.tail_estimate, other.tail_reliable
+        )
+
+    __hash__ = None
 
     def __float__(self) -> float:
         return float(self.value)

@@ -10,7 +10,6 @@ independently tabulated.  Regenerating the code must never change it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -55,13 +54,15 @@ ORACLE_PAIRS: tuple[tuple[float, float], ...] = ((0.0, 1.0), (1.0, 0.5), (-0.25,
 ELIMINATION_PAIRS: tuple[tuple[float, float], ...] = ((0.0, 1.0), (1.0, 0.5), (-0.25, 1.0), (2.0, -1.5))
 
 
-@dataclass(frozen=True)
 class Check:
     """Outcome of a single named verification."""
 
-    name: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
 def suite_triangles() -> list[Check]:

@@ -204,6 +204,8 @@ def test_verify_dualpath_args(capsys):
         (["verify", "stirling", "--nmax", "-3"], "ran no checks"),
         (["verify", "beta", "--nmax", "0"], "needs n_max >= 1"),
         (["verify", "specials", "--smax", "-1"], "needs s_max >= 0"),
+        (["verify", "derivative", "--y", "0"], "got h=0.0001, y=0.0"),
+        (["verify", "derivative", "--y", "1e-9"], "got h=0.0001, y=1e-09"),
     ],
 )
 def test_verify_ignored_flag_or_no_checks_is_usage_error(capsys, argv, reason):
@@ -282,13 +284,16 @@ import convpow
 from convpow import cli
 
 def loaded():
-    return sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+    return sorted(m for m in ("csv", "dataclasses", "numpy", "scipy") if m in sys.modules)
 
 with contextlib.redirect_stdout(io.StringIO()):
     series_rc = cli.main(["eval", "6", "3.7", "--skip-oracles"])
     series_loaded = loaded()
     oracle_rc = cli.main(["verify", "oracle"])
-print(json.dumps([series_rc, series_loaded, oracle_rc, loaded()]))
+    oracle_loaded = loaded()
+    conv_rc = cli.main(["eval", "--conv", "3", "1.5"])
+    all_rc = cli.main(["verify", "all"])
+print(json.dumps([series_rc, series_loaded, oracle_rc, oracle_loaded, conv_rc, all_rc, loaded()]))
 """
 
 
@@ -296,10 +301,12 @@ def test_series_path_loads_neither_numpy_nor_scipy():
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_GRAPH], capture_output=True, env=CHILD_ENV, text=True, timeout=300, check=True
     )
-    series_rc, series_loaded, oracle_rc, oracle_loaded = json.loads(proc.stdout)
+    series_rc, series_loaded, oracle_rc, oracle_loaded, conv_rc, all_rc, last_loaded = json.loads(proc.stdout)
     assert (series_rc, series_loaded) == (0, [])
-    # the oracles still run on numpy and scipy
-    assert (oracle_rc, oracle_loaded) == (0, ["numpy", "scipy"])
+    # the f oracle runs on numpy; the adaptive quadrature is the package's own
+    assert (oracle_rc, oracle_loaded) == (0, ["numpy"])
+    assert (conv_rc, all_rc) == (0, 0)
+    assert "scipy" not in last_loaded
 
 
 def _readme_flags() -> dict[str, set[str]]:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from convpow import quadrature
+from convpow.convolution import ConvParams, varphi
+from convpow.fdecomp import make_f_evaluator
 from convpow.quadrature import QuadratureError, adaptive_quad, cumulative_simpson_uniform
+from convpow.verify import ELIMINATION_PAIRS
 
 
 def test_adaptive_quad_smooth():
@@ -21,6 +24,54 @@ def test_adaptive_quad_reports_failure(monkeypatch):
     monkeypatch.setattr(quadrature, "_SUBINTERVAL_LIMIT", 3)
     with pytest.raises(QuadratureError):
         adaptive_quad(lambda x: math.sin(1.0 / x) / x, 1e-8, 1.0, tol=1e-12)
+
+
+def test_adaptive_quad_nan_is_an_error():
+    with pytest.raises(QuadratureError):
+        adaptive_quad(lambda x: math.nan, 0.0, 1.0)
+
+
+def _integrand(kind: str, args: tuple):
+    """(f, a, b) for one QUADPACK comparison case."""
+    if kind == "exp":
+        return math.exp, 0.0, 1.0
+    if kind == "peaked":
+        return (lambda x: 1.0 / (1e-3 + (x - 0.3) ** 2)), 0.0, 1.0
+    if kind == "log-endpoint":
+        return math.log, 0.0, 1.0
+    if kind == "reflection":
+        # the left-hand side of fdecomp.reflection_residual
+        n, y = args
+        ev = make_f_evaluator(n)
+        return (lambda s: float(ev.eval(s).value) / (y - s + 1.0)), 0.0, y
+    # the innermost integrand of conv_power_quadrature(params, 2, x)
+    lam, a, x = args
+    params = ConvParams(lam, a)
+    return (lambda u: varphi(params, x - u) * varphi(params, u)), lam, x - lam
+
+
+QUADPACK_CASES = [
+    ("exp", ()),
+    ("peaked", ()),
+    ("log-endpoint", ()),
+    *(("reflection", (n, y)) for n in range(5) for y in (0.5, 2.0, 5.0)),
+    *(("conv-inner", (lam, a, (lam + a) * y + 2 * lam)) for lam, a in ELIMINATION_PAIRS for y in (0.5, 2.0, 5.0)),
+]
+
+
+@pytest.mark.parametrize("kind, args", QUADPACK_CASES, ids=[f"{k}{list(a)}" for k, a in QUADPACK_CASES])
+def test_adaptive_quad_against_quadpack(kind, args):
+    # scipy's QUADPACK (qagse) at the same tolerance is the reference; the
+    # in-package rule may give up, but must not return a value further off
+    integrate = pytest.importorskip("scipy.integrate")
+    tol = 1e-10
+    f, a, b = _integrand(kind, args)
+    want = integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=quadrature._SUBINTERVAL_LIMIT)[0]
+    try:
+        got = adaptive_quad(f, a, b, tol)
+    except QuadratureError:
+        return
+    assert abs(got - want) <= 10 * tol * max(1.0, abs(want))
 
 
 def test_cumulative_simpson_exact_on_quadratics():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from convpow import series
 from convpow.series import (
+    EvalResult,
     LogSeries,
     PowerSeriesInvX,
     backward_diff,
@@ -387,3 +388,11 @@ def test_logseries_eval_rejects_nonpositive():
     g = LogSeries([PowerSeriesInvX.zero(n), PowerSeriesInvX.constant(1, n)])
     with pytest.raises(ValueError):
         logseries_eval(g, 0)
+
+
+def test_eval_result_equality_and_float():
+    g = PowerSeriesInvX.constant(1, 8)
+    a, b = series_eval(g, 3), series_eval(g, 3)
+    assert a == b and float(a) == 1.0
+    assert a != EvalResult(a.value, a.tail_estimate, False)
+    assert a != (a.value, a.tail_estimate, a.tail_reliable)
