@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -34,6 +33,7 @@ from .amatrix import a_determinant, check_special_values, compute_a_matrix
 from .convolution import (
     DEFAULT_MAX_DEPTH,
     ConvParams,
+    _normal_form,
     conv_power_quadrature,
     f_from_conv,
     f_quadrature_oracle,
@@ -187,9 +187,8 @@ def cmd_eval(args):
         if not args.skip_oracles:
             if n <= DEFAULT_MAX_DEPTH:
                 results["quadrature"] = conv_power_quadrature(params, n, x, args.quad_tol)
-            y = (x - n * params.lam) / (params.lam + params.a)
-            oracle = f_quadrature_oracle(n - 1, y, args.quad_tol)
-            results["reconstruction"] = math.factorial(n) / (x + n * params.a) * oracle
+            y, factor = _normal_form(params, n, x)
+            results["reconstruction"] = factor * f_quadrature_oracle(n - 1, y, args.quad_tol)
         return results, _spread_check(results, args.compare_tol, f"conv-paths-agree n={n} x={x}")
 
     if args.n < 0:

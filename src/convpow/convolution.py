@@ -12,12 +12,13 @@ The parameter-free normal form f_{n-1} connects the two worlds:
     phi*n(x) = n! / (x + n*a) * f_{n-1}((x - n*lam) / (lam + a)),
 
 so ``reconstruct_from_f`` maps series evaluations to convolution values
-and ``f_from_conv`` inverts that to extract f from raw quadrature.  A
+and ``f_from_conv`` inverts that to extract f from raw quadrature; the
+CLI maps the oracle's f through the same ``_normal_form``.  A
 separate single-variable oracle ``f_quadrature_oracle`` iterates the
 integral recurrence f_k(y) = int_0^y f_{k-1}(s)/(s+k) ds on refining
-Simpson grids, giving a third, independent route to f.  Its first and
-largest grids are the module constants ``_ORACLE_PANELS`` and
-``_ORACLE_MAX_PANELS``.
+Simpson grids of plain floats, giving a third, independent route to f.
+Its first and largest grids are the module constants ``_ORACLE_PANELS``
+and ``_ORACLE_MAX_PANELS``.
 """
 
 from __future__ import annotations
@@ -89,6 +90,18 @@ def conv_power_quadrature(params: ConvParams, n: int, x: float, tol: float = 1e-
     return power(n, x)
 
 
+def _normal_form(params: ConvParams, n: int, x: float) -> tuple[float, float]:
+    """(y, n! / (x + n*a)), so that phi*n(x) = n! / (x + n*a) * f_{n-1}(y), for x >= n*lam."""
+    if n < 1:
+        raise ValueError(f"convolution power requires n >= 1, got n={n}")
+    if x < n * params.lam:
+        raise ValueError(
+            f"x={x} is below the support cutoff {n * params.lam}; the value there is 0 "
+            "and the normal form does not apply"
+        )
+    return (x - n * params.lam) / (params.lam + params.a), math.factorial(n) / (x + n * params.a)
+
+
 def reconstruct_from_f(
     params: ConvParams,
     n: int,
@@ -97,16 +110,8 @@ def reconstruct_from_f(
     prec: int = DEFAULT_PREC,
 ) -> float:
     """phi*n(x) for x >= n*lam, from the exact series evaluation of f_{n-1}."""
-    if n < 1:
-        raise ValueError(f"convolution power requires n >= 1, got n={n}")
-    if x < n * params.lam:
-        raise ValueError(
-            f"x={x} is below the support cutoff {n * params.lam}; the value there is 0 "
-            "and the normal form does not apply"
-        )
-    scale = params.lam + params.a
-    y = (x - n * params.lam) / scale
-    return math.factorial(n) / (x + n * params.a) * float(f_eval(n - 1, y, order, prec).value)
+    y, factor = _normal_form(params, n, x)
+    return factor * float(f_eval(n - 1, y, order, prec).value)
 
 
 def f_from_conv(params: ConvParams, n: int, y: float, tol: float = 1e-10) -> float:
@@ -128,14 +133,12 @@ def f_from_conv(params: ConvParams, n: int, y: float, tol: float = 1e-10) -> flo
 
 def _f_oracle_on_grid(n: int, y: float, panels: int) -> float:
     """One fixed-grid pass of the iterated-integral recurrence for f_n(y)."""
-    import numpy as np
-
-    s = np.linspace(0.0, y, panels + 1)
     h = y / panels
-    f = np.ones(panels + 1)
+    s = [i * h for i in range(panels)] + [y]
+    f = [1.0] * (panels + 1)
     for k in range(1, n + 1):
-        f = cumulative_simpson_uniform(f / (s + k), h)
-    return float(f[-1])
+        f = cumulative_simpson_uniform([v / (t + k) for v, t in zip(f, s)], h)
+    return f[-1]
 
 
 def f_quadrature_oracle(n: int, y: float, tol: float = 1e-10) -> float:

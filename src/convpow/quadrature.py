@@ -7,8 +7,8 @@ so the oracles do not share code with what they validate.
 ``adaptive_quad`` is QUADPACK's 21-point Gauss-Kronrod rule ``qk21`` with
 global adaptive bisection (Piessens, de Doncker-Kapenga, Ueberhuber and
 Kahaner, *QUADPACK*, Springer 1983), in plain Python; the tests hold it
-against scipy's QUADPACK.  numpy is imported inside the function that
-uses it, so the series path never loads it.
+against scipy's QUADPACK.  ``cumulative_simpson_uniform`` is plain Python
+too, so the module needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
+from itertools import accumulate
+from typing import Sequence
 
 
 class QuadratureError(RuntimeError):
@@ -136,24 +134,21 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> float:
     return math.fsum(piece[3] for piece in heap)
 
 
-def cumulative_simpson_uniform(values: np.ndarray, h: float) -> np.ndarray:
+def cumulative_simpson_uniform(values: Sequence[float], h: float) -> list[float]:
     """Cumulative integral of uniformly sampled values, Simpson-based.
 
     Even-index prefixes use composite Simpson; odd-index prefixes add the
     standard three-point half-panel correction, keeping O(h^4) accuracy at
     every node rather than only at even ones.  Needs at least 3 samples.
     """
-    import numpy as np
-
-    g = np.asarray(values, dtype=float)
-    m = g.shape[0]
+    g = list(map(float, values))
+    m = len(g)
     if m < 3:
         raise ValueError(f"need at least 3 samples for Simpson, got {m}")
-    out = np.zeros(m)
-    pair = (h / 3.0) * (g[0:-2:2] + 4.0 * g[1:-1:2] + g[2::2])
-    out[2::2] = np.cumsum(pair)
-    out[1] = (h / 12.0) * (5.0 * g[0] + 8.0 * g[1] - g[2])
-    if m > 3:
-        odd = np.arange(3, m, 2)
-        out[odd] = out[odd - 1] + (h / 12.0) * (-g[odd - 2] + 8.0 * g[odd - 1] + 5.0 * g[odd])
+    h3 = float(h) / 3.0
+    h12 = float(h) / 12.0
+    out = [0.0] * m
+    out[2::2] = accumulate([h3 * (a + 4.0 * b + c) for a, b, c in zip(g[0:-2:2], g[1:-1:2], g[2::2])])
+    out[1] = h12 * (5.0 * g[0] + 8.0 * g[1] - g[2])
+    out[3::2] = [e + h12 * (-a + 8.0 * b + 5.0 * c) for e, a, b, c in zip(out[2::2], g[1::2], g[2::2], g[3::2])]
     return out

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import io
 import json
@@ -291,9 +292,11 @@ with contextlib.redirect_stdout(io.StringIO()):
     series_loaded = loaded()
     oracle_rc = cli.main(["verify", "oracle"])
     oracle_loaded = loaded()
+    eval_rc = cli.main(["eval", "4", "2.5"])
+    eval_loaded = loaded()
     conv_rc = cli.main(["eval", "--conv", "3", "1.5"])
     all_rc = cli.main(["verify", "all"])
-print(json.dumps([series_rc, series_loaded, oracle_rc, oracle_loaded, conv_rc, all_rc, loaded()]))
+print(json.dumps([series_rc, series_loaded, oracle_rc, oracle_loaded, eval_rc, eval_loaded, conv_rc, all_rc, loaded()]))
 """
 
 
@@ -301,12 +304,30 @@ def test_series_path_loads_neither_numpy_nor_scipy():
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_GRAPH], capture_output=True, env=CHILD_ENV, text=True, timeout=300, check=True
     )
-    series_rc, series_loaded, oracle_rc, oracle_loaded, conv_rc, all_rc, last_loaded = json.loads(proc.stdout)
+    series_rc, series_loaded, oracle_rc, oracle_loaded, eval_rc, eval_loaded, conv_rc, all_rc, last_loaded = json.loads(
+        proc.stdout
+    )
     assert (series_rc, series_loaded) == (0, [])
-    # the f oracle runs on numpy; the adaptive quadrature is the package's own
-    assert (oracle_rc, oracle_loaded) == (0, ["numpy"])
+    # the oracles, the f oracle's cumulative Simpson included, are plain Python
+    assert (oracle_rc, oracle_loaded) == (0, [])
+    assert (eval_rc, eval_loaded) == (0, [])
     assert (conv_rc, all_rc) == (0, 0)
-    assert "scipy" not in last_loaded
+    assert last_loaded == []
+
+
+def test_package_imports_only_the_standard_library_and_mpmath():
+    # every import statement in the package, function-level ones included
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "mpmath", f"{path.name}:{node.lineno} imports {name}"
 
 
 def _readme_flags() -> dict[str, set[str]]:

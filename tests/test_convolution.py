@@ -137,6 +137,34 @@ def test_oracle_matches_series_path():
     assert abs(f_quadrature_oracle(2, 2.0) - float(f_eval(2, 2.0).value)) < 1e-7
 
 
+# f_quadrature_oracle as float.hex at suite_oracle's points and two more,
+# as computed when the cumulative Simpson rule still ran on numpy
+FROZEN_ORACLE_HEX = {
+    (1, 0.5): "0x1.9f323ecbf9844p-2",
+    (1, 1.0): "0x1.62e42fefa39d5p-1",
+    (1, 2.0): "0x1.193ea7aad031ap+0",
+    (1, 5.0): "0x1.cab0bfa2a2011p+0",
+    (2, 0.5): "0x1.7dd4dee407ed6p-5",
+    (2, 1.0): "0x1.2d8208c6adeb1p-3",
+    (2, 2.0): "0x1.9fd67c34294fap-2",
+    (2, 5.0): "0x1.3818c46a3178dp+0",
+    (3, 0.5): "0x1.443c80c46dbd0p-9",
+    (3, 1.0): "0x1.e7cbba2cecb98p-7",
+    (3, 2.0): "0x1.323b814657c08p-4",
+    (3, 5.0): "0x1.c7073978d0c46p-2",
+    (4, 0.5): "0x1.3afb8d0869011p-14",
+    (4, 1.0): "0x1.ca7a6aaf35f22p-11",
+    (4, 2.0): "0x1.0cd82afbb050ep-7",
+    (4, 5.0): "0x1.9eee5f09a4259p-4",
+    (10, 20.0): "0x1.3ee18fb16f1a2p-13",
+    (2, 3.0): "0x1.5e0b8f21ca710p-1",
+}
+
+
+def test_oracle_values_frozen():
+    assert {key: f_quadrature_oracle(*key).hex() for key in FROZEN_ORACLE_HEX} == FROZEN_ORACLE_HEX
+
+
 def test_oracle_validation_and_stall(monkeypatch):
     with pytest.raises(ValueError):
         f_quadrature_oracle(-1, 1.0)

@@ -1,7 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convpow import quadrature
 from convpow.convolution import ConvParams, varphi
@@ -112,3 +115,35 @@ def test_cumulative_simpson_starts_at_zero():
     out = cumulative_simpson_uniform(np.ones(5), 0.25)
     assert out[0] == 0.0
     np.testing.assert_allclose(out, np.linspace(0.0, 1.0, 5), atol=1e-15)
+
+
+def _numpy_cumulative_simpson(values, h):
+    """The rule as it ran on numpy: the reference for the plain-float one."""
+    g = np.asarray(values, dtype=float)
+    m = g.shape[0]
+    out = np.zeros(m)
+    pair = (h / 3.0) * (g[0:-2:2] + 4.0 * g[1:-1:2] + g[2::2])
+    out[2::2] = np.cumsum(pair)
+    out[1] = (h / 12.0) * (5.0 * g[0] + 8.0 * g[1] - g[2])
+    if m > 3:
+        odd = np.arange(3, m, 2)
+        out[odd] = out[odd - 1] + (h / 12.0) * (-g[odd - 2] + 8.0 * g[odd - 1] + 5.0 * g[odd])
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(3, 400),
+    seed=st.integers(0, 2**32 - 1),
+    h=st.floats(1e-6, 10.0),
+    as_array=st.booleans(),
+)
+@example(m=300, seed=0, h=0.25, as_array=False)
+@example(m=301, seed=1, h=0.25, as_array=True)
+def test_cumulative_simpson_bit_identical_to_numpy_rule(m, seed, h, as_array):
+    rng = random.Random(seed)
+    values = [rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.uniform(-30.0, 30.0) for _ in range(m)]
+    got = cumulative_simpson_uniform(np.array(values) if as_array else values, h)
+    want = _numpy_cumulative_simpson(values, h)
+    assert type(got) is list and all(type(v) is float for v in got)
+    assert [v.hex() for v in got] == [float(v).hex() for v in want]
