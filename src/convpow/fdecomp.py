@@ -28,12 +28,15 @@ Q_i, with i = m - j, and remembers that it is.  ``beta_table`` and
 ``FEvaluator.eval`` evaluate J^0..J^n at one point x = p/q through one
 ``series._Point``: each non-constant Q_i runs one exact integer Horner
 there, and every part's Horner sum is Q_i's, multiplied and divided
-exactly by the integers of its scale.  The powers of p, x^(-N), ln x and
-its powers and each tail model are also computed once per point.  The
-float operations that follow are those of evaluating each part and
-iterate on its own, in the same order, so every value, tail estimate and
-reliability flag is what it was when every part ran its own Horner, at
-n - 1 Horners per point instead of n(n+3)/2.
+exactly by the integers of its scale.  The powers of q's odd part, p^N,
+x^(-N), ln x and its powers and each tail model are also computed once
+per point.  The float operations that follow are those of evaluating each
+part and iterate on its own, in the same order, so every value, tail
+estimate and reliability flag is what it was when every part ran its own
+Horner, at n - 1 Horners per point instead of n(n+3)/2.  They run on
+``mpmath.libmp`` tuples at the evaluator's precision, rounding to nearest
+as ``mpf`` arithmetic does, so the caller's ``mpmath.mp.prec`` changes no
+bit; only the returned ``EvalResult`` and ``BetaTable`` hold ``mpf``.
 
 Everything here is evaluated, not symbolic: beta values are mpmath floats
 carrying accumulated truncation-tail estimates, and the residual helpers
@@ -48,6 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_mul, mpf_neg, round_nearest
 
 from .qcoeff import log_expansion_q_list
 from .quadrature import adaptive_quad
@@ -57,6 +61,7 @@ from .series import (
     EvalResult,
     LogSeries,
     _exact,
+    _make_mpf,
     _point,
     _Point,
     _to_mpf,
@@ -93,11 +98,11 @@ def _eval_j(m: int, x, order: int, prec: int) -> EvalResult:
     """Evaluate J^m[1] at x, a number or the ``_Point`` the other iterates at
     that point share.  Exact shortcut for the x = 1, m = 1 case."""
     if m == 0:
-        return EvalResult(mpmath.mpf(1), mpmath.mpf(0), True)
+        return EvalResult(_make_mpf(fone), _make_mpf(fzero), True)
     at = _point(x)
-    if m == 1 and at.x == 1:
-        return EvalResult(mpmath.mpf(0), mpmath.mpf(0), True)
-    if at.x <= 1:
+    if not at.above_one:
+        if m == 1 and at.x == 1:
+            return EvalResult(_make_mpf(fzero), _make_mpf(fzero), True)
         raise ValueError(f"J-iterates with m >= 1 need x > 1, got x={at.x}")
     return logseries_eval(build_j_iterate(m, order), at, prec)
 
@@ -140,15 +145,16 @@ def beta_table(n_max: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC)
     for k in range(n_max):
         lower = beta_table(k, order, prec)
     at = _Point(Fraction(n_max))
-    with mpmath.workprec(prec):
-        acc = mpmath.mpf(0)
-        acc_tail = mpmath.mpf(0)
-        for k in range(n_max):
-            r = _eval_j(n_max - k, at, order, prec)
-            acc += lower.values[k] * r.value
-            acc_tail += abs(lower.values[k]) * r.tail_estimate + lower.tails[k] * abs(r.value)
-        value = -acc
-    return BetaTable(lower.values + (value,), lower.tails + (acc_tail,))
+    acc = acc_tail = fzero
+    for k in range(n_max):
+        r = _eval_j(n_max - k, at, order, prec)
+        beta, rv = lower.values[k]._mpf_, r.value._mpf_
+        acc = mpf_add(acc, mpf_mul(beta, rv, prec, round_nearest), prec, round_nearest)
+        spread = mpf_mul(mpf_abs(beta, prec, round_nearest), r.tail_estimate._mpf_, prec, round_nearest)
+        beta_spread = mpf_mul(lower.tails[k]._mpf_, mpf_abs(rv, prec, round_nearest), prec, round_nearest)
+        acc_tail = mpf_add(acc_tail, mpf_add(spread, beta_spread, prec, round_nearest), prec, round_nearest)
+    value = _make_mpf(mpf_neg(acc, prec, round_nearest))
+    return BetaTable(lower.values + (value,), lower.tails + (_make_mpf(acc_tail),))
 
 
 class FEvaluator:
@@ -170,17 +176,19 @@ class FEvaluator:
         if self.n == 0:
             return EvalResult(mpmath.mpf(1), mpmath.mpf(0), True)
         at = _Point(yf + self.n)
-        with mpmath.workprec(self.prec):
-            value = mpmath.mpf(0)
-            tail = mpmath.mpf(0)
-            reliable = True
-            for k in range(self.n + 1):
-                r = _eval_j(self.n - k, at, self.order, self.prec)
-                value += self.betas.values[k] * r.value
-                tail += abs(self.betas.values[k]) * r.tail_estimate
-                tail += self.betas.tails[k] * abs(r.value)
-                reliable = reliable and r.tail_reliable
-        return EvalResult(value, tail, reliable)
+        prec, betas = self.prec, self.betas
+        value = tail = fzero
+        reliable = True
+        for k in range(self.n + 1):
+            r = _eval_j(self.n - k, at, self.order, prec)
+            beta, rv = betas.values[k]._mpf_, r.value._mpf_
+            value = mpf_add(value, mpf_mul(beta, rv, prec, round_nearest), prec, round_nearest)
+            spread = mpf_mul(mpf_abs(beta, prec, round_nearest), r.tail_estimate._mpf_, prec, round_nearest)
+            tail = mpf_add(tail, spread, prec, round_nearest)
+            spread = mpf_mul(betas.tails[k]._mpf_, mpf_abs(rv, prec, round_nearest), prec, round_nearest)
+            tail = mpf_add(tail, spread, prec, round_nearest)
+            reliable = reliable and r.tail_reliable
+        return EvalResult(_make_mpf(value), _make_mpf(tail), reliable)
 
 
 @lru_cache(maxsize=None)
@@ -212,8 +220,8 @@ def derivative_residual(n: int, y, h) -> float:
     ev = make_f_evaluator(n, DEFAULT_ORDER, DEFAULT_PREC)
     ev_prev = make_f_evaluator(n - 1, DEFAULT_ORDER, DEFAULT_PREC)
     with mpmath.workprec(DEFAULT_PREC):
-        fd = (ev.eval(yf + hf).value - ev.eval(yf - hf).value) / (2 * _to_mpf(hf))
-        residual = abs((_to_mpf(yf) + n) * fd - ev_prev.eval(yf).value)
+        fd = (ev.eval(yf + hf).value - ev.eval(yf - hf).value) / (2 * _make_mpf(_to_mpf(hf, DEFAULT_PREC)))
+        residual = abs((_make_mpf(_to_mpf(yf, DEFAULT_PREC)) + n) * fd - ev_prev.eval(yf).value)
     return float(residual)
 
 

@@ -29,6 +29,16 @@ evaluation carries a geometric-ratio tail estimate for the truncated
 remainder, flagged unreliable when the last coefficient ratio does not
 support a geometric model at the requested point.
 
+The Horner sum at x = p/q runs in ascending powers of 1/x, multiplying by
+p at each step; q = odd * 2^s enters each coefficient as odd^k shifted
+left by s*k bits.  A float point is dyadic (odd = 1), so each step is a
+product by a word-sized p and a shift.  The float work after it runs on
+``mpmath.libmp`` tuples (``_mpf_``) at the requested precision with
+round-to-nearest, the operations mpmath's own ``mpf`` arithmetic does at
+that working precision, without an ``mpf`` object per step or a context
+switch; the caller's ``mpmath.mp.prec`` is neither read nor changed.  Only
+the ``EvalResult`` fields are ``mpf``.
+
 ``series_eval`` and ``logseries_eval`` take a number or a prepared point
 (``_Point``) that several evaluations share.  A series made by negation or
 a scalar product remembers the series it multiplies (its root), and at a
@@ -48,6 +58,7 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 import mpmath
+from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_log, mpf_mul, mpf_pow_int, round_nearest
 
 from .combinatorics import stirling1_unsigned
 
@@ -77,9 +88,14 @@ def _exact(x) -> Fraction:
     raise TypeError(f"evaluation point must be int, float or Fraction, got {type(x).__name__}")
 
 
-def _to_mpf(q: Fraction) -> mpmath.mpf:
-    """Fraction -> mpf at the *current* mpmath working precision."""
-    return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+def _to_mpf(q: Fraction, prec: int) -> tuple:
+    """Fraction -> ``_mpf_`` tuple at precision prec: numerator and
+    denominator each rounded to prec, then divided, as mpf(num) / mpf(den)."""
+    num, den = from_int(q.numerator, prec, round_nearest), from_int(q.denominator, prec, round_nearest)
+    return mpf_div(num, den, prec, round_nearest)
+
+
+_make_mpf = mpmath.mp.make_mpf
 
 
 class PowerSeriesInvX:
@@ -158,9 +174,9 @@ class PowerSeriesInvX:
             )
 
     def _eval_floats(self, prec: int):
-        """(value of a constant series or None, mpf(den), mpf(|a_N|), tail
-        ratio) at precision prec: what evaluation needs besides the integers
-        and the point, cached per precision.
+        """(value of a constant series or None, den, |a_N|, tail ratio), the
+        floats as ``_mpf_`` tuples at precision prec: what evaluation needs
+        besides the integers and the point, cached per precision.
 
         The tail ratio is |a_N / a_{N-1}| of the geometric tail model (1
         when a_{N-1} = 0), or None when a_N = 0 and the model puts no tail
@@ -170,13 +186,12 @@ class PowerSeriesInvX:
             self._floats = {}
         got = self._floats.get(prec)
         if got is None:
-            with mpmath.workprec(prec):
-                if self.is_constant:
-                    got = (_to_mpf(self.coeff(0)), None, None, None)
-                else:
-                    last, prev = abs(self.ints[-1]), abs(self.ints[-2])
-                    ratio = None if not last else Fraction(last, prev) if prev else Fraction(1)
-                    got = (None, mpmath.mpf(self.den), _to_mpf(Fraction(last, self.den)), ratio)
+            if self.is_constant:
+                got = (_to_mpf(self.coeff(0), prec), None, None, None)
+            else:
+                last, prev = abs(self.ints[-1]), abs(self.ints[-2])
+                ratio = None if not last else Fraction(last, prev) if prev else Fraction(1)
+                got = (None, from_int(self.den, prec, round_nearest), _to_mpf(Fraction(last, self.den), prec), ratio)
             self._floats[prec] = got
         return got
 
@@ -370,16 +385,17 @@ def _int_powers(p: int, n: int) -> list[int]:
     return powers
 
 
-def _horner(ints, q: int, ppow) -> int:
-    """Exact Horner sum of ints[k] * p^(N-k) * q^k, k = 0..N, from ppow = p^0..p^N.
+def _horner(ints, p: int, shift: int, opow) -> int:
+    """Exact Horner sum of ints[k] * p^(N-k) * q^k, k = 0..N, where
+    q = odd * 2^shift and opow = odd^0..odd^N.
 
     With ints = den * a_k of a series and x = p/q, the series' partial sum
-    at x is this integer over den * p^N.
+    at x is this integer over den * p^N.  It runs in ascending k, acc * p +
+    ints[k] * q^k, with q^k = odd^k << shift*k: one product by p per step.
     """
-    n = len(ints) - 1
-    acc = ints[n]
-    for k in range(n - 1, -1, -1):
-        acc = acc * q + ints[k] * ppow[n - k]
+    acc = ints[0]
+    for k in range(1, len(ints)):
+        acc = acc * p + ((ints[k] * opow[k]) << (shift * k))
     return acc
 
 
@@ -387,56 +403,60 @@ class _Point:
     """An evaluation point x = p/q, prepared once for every series evaluated
     at it.
 
-    It keeps the powers of p and, per precision, p^N, x^(-N) and the powers
-    of ln x.  It also keeps one record per root (the series every scalar
-    multiple of it points to) and precision: the root's exact Horner sum,
-    its reliability flag, 1 - rho, and the mpf of each scaled sum asked for.
-    So the range check, the Horner sum and the tail model are computed once
-    per root; a multiple's sum is the root's times num / div, exactly, and
-    its tail ratio is the root's.  The parts of the J-iterates that one
-    Q-series makes, (-1)^i Q_i / j!, share one scale: j! enters their
-    denominator, not num / div, so their sum is converted once.  A point
-    lives for one evaluation; nothing is kept beyond it.
+    It keeps q = odd * 2^shift, the powers of odd, whether x > 1 (the one
+    range test of the J-iterates and of ln x) and, per precision, p^N,
+    x^(-N) and the powers of ln x as ``_mpf_`` tuples.  It also keeps one
+    record per root (the series every scalar multiple of it points to) and
+    precision: the root's exact Horner sum, its reliability flag, 1 - rho,
+    and the float of each scaled sum asked for.  So the range check, the
+    Horner sum and the tail model are computed once per root; a multiple's
+    sum is the root's times num / div, exactly, and its tail ratio is the
+    root's.  The parts of the J-iterates that one Q-series makes,
+    (-1)^i Q_i / j!, share one scale: j! enters their denominator, not
+    num / div, so their sum is converted once.  A point lives for one
+    evaluation; nothing is kept beyond it.
     """
 
-    __slots__ = ("x", "_powers", "_floats", "_weights", "_roots")
+    __slots__ = ("x", "above_one", "_shift", "_odd", "_powers", "_floats", "_weights", "_roots")
 
     def __init__(self, xf: Fraction):
         self.x = xf
-        self._powers = {}  # N -> p^0..p^N
-        self._floats = {}  # (N, prec) -> (mpf(p^N), x^(-N))
+        self.above_one = xf > 1
+        q = xf.denominator
+        self._shift = (q & -q).bit_length() - 1
+        self._odd = q >> self._shift
+        self._powers = {}  # N -> odd^0..odd^N
+        self._floats = {}  # (N, prec) -> (p^N, x^(-N))
         self._weights = {}  # prec -> ([ln(x)^j], [|ln(x)|^j], ln(x))
-        self._roots = {}  # (id(root), prec) -> (root, exact Horner sum, reliable, 1 - rho, {(num, div): mpf})
+        self._roots = {}  # (id(root), prec) -> (root, exact Horner sum, reliable, 1 - rho, {(num, div): sum})
 
     def powers(self, n: int) -> list[int]:
-        ppow = self._powers.get(n)
-        if ppow is None:
-            ppow = self._powers[n] = _int_powers(self.x.numerator, n)
-        return ppow
+        opow = self._powers.get(n)
+        if opow is None:
+            opow = self._powers[n] = _int_powers(self._odd, n)
+        return opow
 
     def floats(self, n: int, prec: int):
         got = self._floats.get((n, prec))
         if got is None:
-            with mpmath.workprec(prec):
-                got = self._floats[n, prec] = (mpmath.mpf(self.powers(n)[n]), _to_mpf(self.x) ** (-n))
+            x_pow = mpf_pow_int(_to_mpf(self.x, prec), -n, prec, round_nearest)
+            got = self._floats[n, prec] = (from_int(self.x.numerator**n, prec, round_nearest), x_pow)
         return got
 
     def ln_weights(self, degree: int, prec: int):
         """ln(x)^0..ln(x)^degree by repeated products, and their absolute values."""
         got = self._weights.get(prec)
         if got is None:
-            with mpmath.workprec(prec):
-                got = self._weights[prec] = ([mpmath.mpf(1)], [mpmath.mpf(1)], mpmath.log(_to_mpf(self.x)))
+            got = self._weights[prec] = ([fone], [fone], mpf_log(_to_mpf(self.x, prec), prec, round_nearest))
         weights, abs_weights, lnx = got
-        if len(weights) <= degree:
-            with mpmath.workprec(prec):
-                while len(weights) <= degree:
-                    weights.append(weights[-1] * lnx)
-                    abs_weights.append(abs(weights[-1]))
+        while len(weights) <= degree:
+            weights.append(mpf_mul(weights[-1], lnx, prec, round_nearest))
+            abs_weights.append(mpf_abs(weights[-1], prec, round_nearest))
         return weights, abs_weights
 
     def terms(self, g: PowerSeriesInvX, ratio: Fraction | None, prec: int):
-        """(mpf of g's exact Horner sum, reliable, 1 - rho) at precision prec.
+        """(g's exact Horner sum, reliable, 1 - rho), the floats as
+        ``_mpf_`` tuples at precision prec.
 
         The root is range-checked against its convergence abscissa, which
         its scalar multiples share.  The tail model: rho = max(ratio, 1) / x
@@ -449,20 +469,19 @@ class _Point:
         got = self._roots.get((id(root), prec))
         value = None if got is None else got[4].get((num, div))
         if value is None:
-            with mpmath.workprec(prec):
-                if got is None:
-                    if self.x < root.conv_abscissa:
-                        raise ValueError(
-                            f"evaluation point {self.x} is below the convergence abscissa {root.conv_abscissa}"
-                        )
-                    reliable, one_minus_rho = True, None
-                    if ratio is not None:
-                        rho = max(ratio, Fraction(1)) / self.x
-                        reliable = rho < 1
-                        one_minus_rho = _to_mpf(1 - min(rho, _TAIL_RATIO_CAP))
-                    summed = _horner(root.ints, self.x.denominator, self.powers(root.order))
-                    got = self._roots[id(root), prec] = (root, summed, reliable, one_minus_rho, {})
-                value = got[4][num, div] = mpmath.mpf(got[1] * num // div)
+            if got is None:
+                if self.x < root.conv_abscissa:
+                    raise ValueError(
+                        f"evaluation point {self.x} is below the convergence abscissa {root.conv_abscissa}"
+                    )
+                reliable, one_minus_rho = True, None
+                if ratio is not None:
+                    rho = max(ratio, Fraction(1)) / self.x
+                    reliable = rho < 1
+                    one_minus_rho = _to_mpf(1 - min(rho, _TAIL_RATIO_CAP), prec)
+                summed = _horner(root.ints, self.x.numerator, self._shift, self.powers(root.order))
+                got = self._roots[id(root), prec] = (root, summed, reliable, one_minus_rho, {})
+            value = got[4][num, div] = from_int(got[1] * num // div, prec, round_nearest)
         return value, got[2], got[3]
 
 
@@ -485,13 +504,14 @@ def series_eval(g: PowerSeriesInvX, x, prec: int = DEFAULT_PREC) -> EvalResult:
     at = _point(x)
     constant, den, abs_last, ratio = g._eval_floats(prec)
     if constant is not None:
-        return EvalResult(constant, mpmath.mpf(0), True)
+        return EvalResult(_make_mpf(constant), _make_mpf(fzero), True)
     numerator, reliable, one_minus_rho = at.terms(g, ratio, prec)
     p_n, x_pow = at.floats(g.order, prec)
-    with mpmath.workprec(prec):
-        value = numerator / (den * p_n)
-        tail = mpmath.mpf(0) if one_minus_rho is None else abs_last * x_pow / one_minus_rho
-    return EvalResult(value, tail, reliable)
+    value = mpf_div(numerator, mpf_mul(den, p_n, prec, round_nearest), prec, round_nearest)
+    tail = fzero
+    if one_minus_rho is not None:
+        tail = mpf_div(mpf_mul(abs_last, x_pow, prec, round_nearest), one_minus_rho, prec, round_nearest)
+    return EvalResult(_make_mpf(value), _make_mpf(tail), reliable)
 
 
 def logseries_eval(g: LogSeries, x, prec: int = DEFAULT_PREC) -> EvalResult:
@@ -501,19 +521,16 @@ def logseries_eval(g: LogSeries, x, prec: int = DEFAULT_PREC) -> EvalResult:
     value share one, so each Q-series is summed once per point.
     """
     at = _point(x)
-    if g.degree >= 1 and at.x <= 0:
-        raise ValueError(f"ln(x) requires x > 0, got {at.x}")
     if g.degree >= 1:
+        if not at.above_one and at.x <= 0:
+            raise ValueError(f"ln(x) requires x > 0, got {at.x}")
         weights, abs_weights = at.ln_weights(g.degree, prec)
-    else:
-        weights = abs_weights = (mpmath.mpf(1),)
-    with mpmath.workprec(prec):
-        value = mpmath.mpf(0)
-        tail = mpmath.mpf(0)
-        reliable = True
-        for part, weight, abs_weight in zip(g.parts, weights, abs_weights):
-            r = series_eval(part, at, prec)
-            value += r.value * weight
-            tail += r.tail_estimate * abs_weight
-            reliable = reliable and r.tail_reliable
-    return EvalResult(value, tail, reliable)
+    r = series_eval(g.parts[0], at, prec)
+    # part 0's weight is ln(x)^0 = 1, and its value is already rounded to prec
+    value, tail, reliable = r.value._mpf_, r.tail_estimate._mpf_, r.tail_reliable
+    for j in range(1, len(g.parts)):
+        r = series_eval(g.parts[j], at, prec)
+        value = mpf_add(value, mpf_mul(r.value._mpf_, weights[j], prec, round_nearest), prec, round_nearest)
+        tail = mpf_add(tail, mpf_mul(r.tail_estimate._mpf_, abs_weights[j], prec, round_nearest), prec, round_nearest)
+        reliable = reliable and r.tail_reliable
+    return EvalResult(_make_mpf(value), _make_mpf(tail), reliable)

@@ -226,6 +226,56 @@ def test_f_values_frozen():
     assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_F_SHA256
 
 
+# The same record at points whose x = y + n has a denominator with an odd
+# part (3 or 7), which no float reaches: the Horner sums there multiply by
+# powers of that odd part.  Frozen from the evaluator whose Horner ran in
+# descending powers of 1/x, adding ints[k] * p^(N-k) at each step.
+FROZEN_ODD_YS = (F(1, 3), F(22, 7), F(10, 3))
+FROZEN_ODD_SHA256 = "b78f360de52c02a9e918a75ff84cb90684148c21807e87749fe746e269c0d03a"
+FROZEN_ODD_SAMPLES = {
+    (64, 128, 10, F(1, 3)): "(0, 61082514438096929093847, -133, 76) (0, 2060667517216686117447316141822995177, -156, 121) True",
+    (40, 96, 7, F(22, 7)): "(0, 579654137684077422113277, -95, 79) (0, 8449344916318634725461564129, -121, 93) True",
+}
+
+
+def test_f_values_frozen_at_odd_denominators():
+    lines = {}
+    for order, prec in ((64, 128), (40, 96)):
+        for n in range(1, 11):
+            for y in FROZEN_ODD_YS:
+                r = f_eval(n, y, order, prec)
+                lines[order, prec, n, y] = f"{r.value._mpf_!r} {r.tail_estimate._mpf_!r} {r.tail_reliable}"
+    for key, want in FROZEN_ODD_SAMPLES.items():
+        assert lines[key] == want, key
+    text = "\n".join(f"{o} {p} {n} {y} {line}" for (o, p, n, y), line in lines.items())
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_ODD_SHA256
+
+
+def _clear_table_caches():
+    for module in (series, qcoeff, fdecomp):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+@pytest.mark.parametrize("caller_prec", [20, 400])
+def test_caller_precision_changes_no_bit(caller_prec):
+    # beta and f_n work at their own prec, cold or warm, and leave mp.prec as the caller set it
+    def bits(want_prec):
+        _clear_table_caches()
+        table = beta_table(9)
+        assert mpmath.mp.prec == want_prec
+        values = [f_eval(9, y) for y in (0.1, 7.5, F(22, 7))]
+        assert mpmath.mp.prec == want_prec
+        return [v._mpf_ for v in table.values + table.tails] + [
+            (r.value._mpf_, r.tail_estimate._mpf_, r.tail_reliable) for r in values
+        ]
+
+    want = bits(mpmath.mp.prec)
+    with mpmath.workprec(caller_prec):
+        assert bits(caller_prec) == want
+
+
 def test_each_q_series_is_evaluated_once_per_point(monkeypatch):
     make_f_evaluator(9)  # warm: J-iterates and betas built
     calls = []

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convpow import series
@@ -250,6 +250,27 @@ def test_scalar_multiples_share_one_horner_at_a_point(monkeypatch):
     assert len(calls) == 1 + len(multiples)  # f's at the shared point, one per unlinked copy
     with pytest.raises(ValueError, match="below the convergence abscissa 2"):
         series_eval(-f, series._Point(Fraction(3, 2)))
+
+
+@st.composite
+def horner_cases(draw):
+    order = draw(st.integers(0, 80))
+    coeff = st.one_of(st.just(0), st.integers(-(2**600), 2**600))
+    ints = draw(st.lists(coeff, min_size=order + 1, max_size=order + 1))
+    odd = draw(st.one_of(st.sampled_from((1, 3, 7, 21)), st.integers(0, 10**6).map(lambda k: 2 * k + 1)))
+    return ints, draw(st.integers(1, 2**80)), odd, draw(st.integers(0, 60))
+
+
+@given(horner_cases())
+@example(([5], 3, 1, 0))
+@example(([-1, 0, 2**500] + [0] * 68 + [-7], 2**53 - 1, 1, 52))
+@example(([1] * 71, 22, 7, 0))
+def test_horner_is_the_naive_sum(case):
+    # the shifted ascending Horner against the definition, term by term
+    ints, p, odd, shift = case
+    q, order = odd << shift, len(ints) - 1
+    naive = sum(c * p ** (order - k) * q**k for k, c in enumerate(ints))
+    assert series._horner(ints, p, shift, [odd**k for k in range(order + 1)]) == naive
 
 
 # ---------------------------------------------------------------------------
