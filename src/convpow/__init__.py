@@ -21,11 +21,10 @@ from .series import (
     series_eval,
     shift_s,
 )
-from .amatrix import AMatrix, a_determinant, check_special_values, compute_a_matrix
+from .amatrix import a_determinant, check_special_values, compute_a_matrix
 from .qcoeff import log_expansion_q_list, q_closed_form, q_via_recurrence
 from .fdecomp import (
     BetaTable,
-    FEvaluator,
     beta_table,
     build_j_iterate,
     derivative_residual,
@@ -47,11 +46,9 @@ from .quadrature import QuadratureError
 __all__ = [
     "DEFAULT_ORDER",
     "DEFAULT_PREC",
-    "AMatrix",
     "BetaTable",
     "ConvParams",
     "EvalResult",
-    "FEvaluator",
     "LogSeries",
     "PowerSeriesInvX",
     "QuadratureError",

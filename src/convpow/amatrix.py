@@ -23,27 +23,10 @@ import math
 from functools import lru_cache
 
 
-class AMatrix:
-    """Rows of the size-s triangular matrix; ``rows[m][j]`` with j <= m <= s."""
-
-    __slots__ = ("s", "rows")
-
-    def __init__(self, s: int, rows: tuple[tuple[int, ...], ...]):
-        self.s = s
-        self.rows = rows
-
-    def entry(self, m: int, j: int) -> int:
-        """A^s_{m,j}, with entries above the diagonal defined as 0."""
-        if not (0 <= m <= self.s):
-            raise IndexError(f"row {m} outside 0..{self.s}")
-        if not (0 <= j <= self.s):
-            raise IndexError(f"column {j} outside 0..{self.s}")
-        return self.rows[m][j] if j <= m else 0
-
-
 @lru_cache(maxsize=None)
-def compute_a_matrix(s: int) -> AMatrix:
-    """Build A^s from the two-index recurrence (a verification path)."""
+def compute_a_matrix(s: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of A^s, ``rows[m][j]`` with j <= m <= s, from the two-index
+    recurrence (a verification path)."""
     if s < 0:
         raise ValueError(f"matrix size must be >= 0, got s={s}")
     rows: list[tuple[int, ...]] = [(1,)]
@@ -53,15 +36,15 @@ def compute_a_matrix(s: int) -> AMatrix:
         for j in range(1, m + 1):
             row.append(sum(rows[m - mu - 1][j - 1] * weights[mu] for mu in range(m - j + 1)))
         rows.append(tuple(row))
-    return AMatrix(s, tuple(rows))
+    return tuple(rows)
 
 
-def a_determinant(a: AMatrix) -> int:
+def a_determinant(rows: tuple[tuple[int, ...], ...]) -> int:
     """Determinant of the lower-triangular matrix: the diagonal product."""
-    return math.prod(a.rows[m][m] for m in range(a.s + 1))
+    return math.prod(row[m] for m, row in enumerate(rows))
 
 
-def check_special_values(a: AMatrix) -> dict:
+def check_special_values(rows: tuple[tuple[int, ...], ...]) -> dict:
     """Verify the three closed-form slices of A^s.
 
     * column 0 is the Kronecker delta at row 0,
@@ -71,15 +54,16 @@ def check_special_values(a: AMatrix) -> dict:
     Returns ``{"ok": bool, "identities": {...}, "failures": [...]}`` where
     each failure names the entry, the computed value and the expected one.
     """
+    s = len(rows) - 1
     slices = {
-        "column0_kronecker": [((m, 0), int(m == 0)) for m in range(a.s + 1)],
-        "column1_falling_factorial": [((m, 1), math.perm(a.s - 1, m - 1)) for m in range(1, a.s + 1)],
-        "diagonal_factorial": [((m, m), math.factorial(m)) for m in range(a.s + 1)],
+        "column0_kronecker": [((m, 0), int(m == 0)) for m in range(s + 1)],
+        "column1_falling_factorial": [((m, 1), math.perm(s - 1, m - 1)) for m in range(1, s + 1)],
+        "diagonal_factorial": [((m, m), math.factorial(m)) for m in range(s + 1)],
     }
     identities, failures = {}, []
     for name, entries in slices.items():
         bad = [
-            {"entry": (m, j), "got": a.rows[m][j], "want": want} for (m, j), want in entries if a.rows[m][j] != want
+            {"entry": (m, j), "got": rows[m][j], "want": want} for (m, j), want in entries if rows[m][j] != want
         ]
         identities[name] = not bad
         failures += bad

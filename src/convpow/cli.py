@@ -108,16 +108,16 @@ def _config_from(args: argparse.Namespace) -> dict:
 
 
 def cmd_amatrix(args):
-    a = compute_a_matrix(args.s)
-    results: dict = {"s": a.s, "rows": [list(r) for r in a.rows]}
+    rows = compute_a_matrix(args.s)
+    results: dict = {"s": args.s, "rows": [list(r) for r in rows]}
     checks: list[verify_mod.Check] = []
     if args.det:
-        results["determinant"] = a_determinant(a)
+        results["determinant"] = a_determinant(rows)
     if args.check:
-        report = check_special_values(a)
+        report = check_special_values(rows)
         results["special_values"] = report
         for identity, ok in report["identities"].items():
-            checks.append(verify_mod.Check(f"{identity} s={a.s}", ok))
+            checks.append(verify_mod.Check(f"{identity} s={args.s}", ok))
     return results, checks
 
 
@@ -126,15 +126,15 @@ def cmd_qcoeff(args):
         raise ValueError(f"level must be >= 0, got {args.n}")
     if args.smax < 1:
         raise ValueError(f"smax must be >= 1, got {args.smax}")
-    rec = q_via_recurrence(args.n, args.smax)
+    rec = q_via_recurrence(args.n, args.smax).coeffs  # built on each access: once here
     rows = []
     agree = True
     for s in range(args.smax + 1):
-        row = {"s": s, "recurrence": str(rec.coeffs[s])}
+        row = {"s": s, "recurrence": str(rec[s])}
         if args.n >= 2:
             cf = q_closed_form(args.n, s)
             row["closed_form"] = str(cf)
-            row["agree"] = cf == rec.coeffs[s]
+            row["agree"] = cf == rec[s]
             agree = agree and row["agree"]
         rows.append(row)
     results = {"n": args.n, "coefficients": rows, "paths_agree": agree if args.n >= 2 else None}

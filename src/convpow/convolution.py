@@ -131,14 +131,37 @@ def f_from_conv(params: ConvParams, n: int, y: float, tol: float = 1e-10) -> flo
     return (y + n) / math.factorial(n) * scale * conv
 
 
-def _f_oracle_on_grid(n: int, y: float, panels: int) -> float:
-    """One fixed-grid pass of the iterated-integral recurrence for f_n(y)."""
+def _f_oracle_on_grid(n: int, y: float, panels: int) -> list[float]:
+    """One fixed-grid pass of the iterated-integral recurrence: f_0(y)..f_n(y)."""
     h = y / panels
     s = [i * h for i in range(panels)] + [y]
     f = [1.0] * (panels + 1)
+    levels = [1.0]
     for k in range(1, n + 1):
         f = cumulative_simpson_uniform([v / (t + k) for v, t in zip(f, s)], h)
-    return f[-1]
+        levels.append(f[-1])
+    return levels
+
+
+def _f_oracle_levels(n: int, y: float, tol: float, lowest: int) -> dict[int, float]:
+    """f_k(y) for lowest <= k <= n, each from the first grid refinement that
+    changes it by less than tol; one refinement loop serves every level."""
+    m = _ORACLE_PANELS
+    cur = _f_oracle_on_grid(n, y, m)
+    found: dict[int, float] = {}
+    changes: dict = {n: None}
+    while m < _ORACLE_MAX_PANELS:
+        m *= 2
+        prev, cur = cur, _f_oracle_on_grid(n, y, m)
+        changes = {k: abs(cur[k] - prev[k]) for k in range(lowest, n + 1) if k not in found}
+        found.update((k, cur[k]) for k, change in changes.items() if change < tol)
+        if len(found) == n + 1 - lowest:
+            return found
+    k = min(k for k in changes if k not in found)
+    raise QuadratureError(
+        f"f oracle at n={k}, y={y}: grid refinement stalled above tol={tol:g} "
+        f"(last change {changes[k]} at {m} panels)"
+    )
 
 
 def f_quadrature_oracle(n: int, y: float, tol: float = 1e-10) -> float:
@@ -158,20 +181,7 @@ def f_quadrature_oracle(n: int, y: float, tol: float = 1e-10) -> float:
         return 1.0
     if y == 0:
         return 0.0
-    m = _ORACLE_PANELS
-    prev = _f_oracle_on_grid(n, y, m)
-    change = None
-    while m < _ORACLE_MAX_PANELS:
-        m *= 2
-        cur = _f_oracle_on_grid(n, y, m)
-        change = abs(cur - prev)
-        if change < tol:
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"f oracle at n={n}, y={y}: grid refinement stalled above tol={tol:g} "
-        f"(last change {change} at {m} panels)"
-    )
+    return _f_oracle_levels(n, y, tol, n)[n]
 
 
 def j_iterate_from_f_oracle(n: int, x: float, betas: Sequence[float]) -> float:

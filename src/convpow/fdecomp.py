@@ -20,12 +20,14 @@ f_n(0) = 0 for n >= 1, which triangularly determines
 
 starting from beta_0 = 1.  beta_1 = 0 falls out exactly since
 J[1](1) = ln(1) = 0 (the only evaluation at x = 1 the recurrence ever
-needs, special-cased below; everything else requires x > 1).
+needs; everything else requires x > 1).  So the table of beta_0..beta_n
+is all that f_n's evaluator holds: ``make_f_evaluator(n)`` returns it,
+and ``BetaTable.eval`` sums the J-iterates at a point.
 
 How a point is evaluated.  Every part of every J-iterate is one of the
 same few series: part j of J^m is the scalar multiple (-1)^i Q_i / j! of
 Q_i, with i = m - j, and remembers that it is.  ``beta_table`` and
-``FEvaluator.eval`` evaluate J^0..J^n at one point x = p/q through one
+``BetaTable.eval`` evaluate J^0..J^n at one point x = p/q through one
 ``series._Point``: each non-constant Q_i runs one exact integer Horner
 there, and every part's Horner sum is Q_i's, multiplied and divided
 exactly by the integers of its scale.  The powers of q's odd part, p^N,
@@ -96,36 +98,59 @@ def build_j_iterate(n: int, order: int = DEFAULT_ORDER) -> LogSeries:
 
 def _eval_j(m: int, x, order: int, prec: int) -> EvalResult:
     """Evaluate J^m[1] at x, a number or the ``_Point`` the other iterates at
-    that point share.  Exact shortcut for the x = 1, m = 1 case."""
+    that point share.  J^1 also takes x = 1, where it is exactly ln 1 = 0."""
     if m == 0:
         return EvalResult(_make_mpf(fone), _make_mpf(fzero), True)
     at = _point(x)
-    if not at.above_one:
-        if m == 1 and at.x == 1:
-            return EvalResult(_make_mpf(fzero), _make_mpf(fzero), True)
+    if not at.above_one and not (m == 1 and at.x == 1):
         raise ValueError(f"J-iterates with m >= 1 need x > 1, got x={at.x}")
     return logseries_eval(build_j_iterate(m, order), at, prec)
 
 
 class BetaTable:
-    """beta_0..beta_n as high-precision floats with tail estimates.
+    """beta_0..beta_n as high-precision floats with tail estimates, and the
+    evaluator of f_n they define at the order and precision they were
+    built with.
 
     ``tails[k]`` accumulates, linearly, the truncation-tail estimates of
     every series evaluation that entered beta_k; beta_0 and beta_1 are
     exact (1 and 0).
     """
 
-    __slots__ = ("values", "tails")
+    __slots__ = ("values", "tails", "order", "prec")
 
-    def __init__(self, values: tuple[mpmath.mpf, ...], tails: tuple[mpmath.mpf, ...]):
+    def __init__(self, values: tuple[mpmath.mpf, ...], tails: tuple[mpmath.mpf, ...], order: int, prec: int):
         self.values = values
         self.tails = tails
+        self.order = order
+        self.prec = prec
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __getitem__(self, k: int) -> mpmath.mpf:
         return self.values[k]
+
+    def eval(self, y) -> EvalResult:
+        """f_n(y) for y >= 0, n = len(self) - 1; f_n(0) = 0 for n >= 1 by construction."""
+        yf = _exact(y)
+        if yf < 0:
+            raise ValueError(f"f is only defined for y >= 0, got y={yf}")
+        n = len(self.values) - 1
+        at = _Point(yf + n)
+        prec = self.prec
+        value = tail = fzero
+        reliable = True
+        for k in range(n + 1):
+            r = _eval_j(n - k, at, self.order, prec)
+            beta, rv = self.values[k]._mpf_, r.value._mpf_
+            value = mpf_add(value, mpf_mul(beta, rv, prec, round_nearest), prec, round_nearest)
+            spread = mpf_mul(mpf_abs(beta, prec, round_nearest), r.tail_estimate._mpf_, prec, round_nearest)
+            tail = mpf_add(tail, spread, prec, round_nearest)
+            spread = mpf_mul(self.tails[k]._mpf_, mpf_abs(rv, prec, round_nearest), prec, round_nearest)
+            tail = mpf_add(tail, spread, prec, round_nearest)
+            reliable = reliable and r.tail_reliable
+        return EvalResult(_make_mpf(value), _make_mpf(tail), reliable)
 
 
 @lru_cache(maxsize=None)
@@ -135,12 +160,13 @@ def beta_table(n_max: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC)
     Level n_max extends the cached table of level n_max - 1 by one row, so
     filling levels 1..n evaluates each J-iterate at each integer point once.
     The lower levels are requested bottom-up, so a cold call recurses one
-    level at most.
+    level at most.  Its tails sum as acc + (spread + beta spread), and
+    ``BetaTable.eval``'s as (acc + spread) + beta spread: each keeps its bits.
     """
     if n_max < 0:
         raise ValueError(f"beta index must be >= 0, got {n_max}")
     if n_max == 0:
-        return BetaTable((mpmath.mpf(1),), (mpmath.mpf(0),))
+        return BetaTable((mpmath.mpf(1),), (mpmath.mpf(0),), order, prec)
     # positional, as make_f_evaluator passes them: lru_cache keys on the arguments as given
     for k in range(n_max):
         lower = beta_table(k, order, prec)
@@ -154,48 +180,14 @@ def beta_table(n_max: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC)
         beta_spread = mpf_mul(lower.tails[k]._mpf_, mpf_abs(rv, prec, round_nearest), prec, round_nearest)
         acc_tail = mpf_add(acc_tail, mpf_add(spread, beta_spread, prec, round_nearest), prec, round_nearest)
     value = _make_mpf(mpf_neg(acc, prec, round_nearest))
-    return BetaTable(lower.values + (value,), lower.tails + (_make_mpf(acc_tail),))
+    return BetaTable(lower.values + (value,), lower.tails + (_make_mpf(acc_tail),), order, prec)
 
 
-class FEvaluator:
-    """Evaluator for one f_n: beta constants plus the J-iterates it combines."""
-
-    __slots__ = ("n", "order", "prec", "betas")
-
-    def __init__(self, n: int, order: int, prec: int, betas: BetaTable):
-        self.n = n
-        self.order = order
-        self.prec = prec
-        self.betas = betas
-
-    def eval(self, y) -> EvalResult:
-        """f_n(y) for y >= 0; f_0 is exactly 1 and f_n(0) = 0 by construction."""
-        yf = _exact(y)
-        if yf < 0:
-            raise ValueError(f"f is only defined for y >= 0, got y={yf}")
-        if self.n == 0:
-            return EvalResult(mpmath.mpf(1), mpmath.mpf(0), True)
-        at = _Point(yf + self.n)
-        prec, betas = self.prec, self.betas
-        value = tail = fzero
-        reliable = True
-        for k in range(self.n + 1):
-            r = _eval_j(self.n - k, at, self.order, prec)
-            beta, rv = betas.values[k]._mpf_, r.value._mpf_
-            value = mpf_add(value, mpf_mul(beta, rv, prec, round_nearest), prec, round_nearest)
-            spread = mpf_mul(mpf_abs(beta, prec, round_nearest), r.tail_estimate._mpf_, prec, round_nearest)
-            tail = mpf_add(tail, spread, prec, round_nearest)
-            spread = mpf_mul(betas.tails[k]._mpf_, mpf_abs(rv, prec, round_nearest), prec, round_nearest)
-            tail = mpf_add(tail, spread, prec, round_nearest)
-            reliable = reliable and r.tail_reliable
-        return EvalResult(_make_mpf(value), _make_mpf(tail), reliable)
-
-
-@lru_cache(maxsize=None)
-def make_f_evaluator(n: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC) -> FEvaluator:
+def make_f_evaluator(n: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC) -> BetaTable:
+    """f_n's evaluator: its cached beta table, whose ``eval`` sums the J-iterates."""
     if n < 0:
         raise ValueError(f"f index must be >= 0, got n={n}")
-    return FEvaluator(n, order, prec, beta_table(n, order, prec))
+    return beta_table(n, order, prec)
 
 
 def f_eval(n: int, y, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC) -> EvalResult:

@@ -112,7 +112,7 @@ def q_closed_form(n_plus_1: int, s: int) -> Fraction:
     n = n_plus_1 - 1
     if s < n:
         return Fraction(0)
-    rows = compute_a_matrix(s).rows
+    rows = compute_a_matrix(s)
     total = sum(
         stirling1_unsigned(s - sigma, n - nu) * math.comb(s, sigma) * rows[sigma][nu]
         for nu in range(n)

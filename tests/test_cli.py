@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import hashlib
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import convpow.cli as cli
+from convpow.series import PowerSeriesInvX
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 README = Path(SRC).parent / "README.md"
@@ -348,3 +350,49 @@ def test_readme_lists_every_flag_of_every_subcommand():
         flags = {o for action in parser._actions for o in action.option_strings} - {"-h", "--help"}
         # both ways: each flag is documented, and each documented flag exists
         assert readme[name] == flags, name
+
+
+# The acceptance commands of the bit-for-bit changes, and a sha256 over
+# "$ <command> -> <exit status>" plus each one's output, JSON re-dumped
+# without elapsed_ms, as the CLI printed them before BetaTable took over
+# FEvaluator's evaluation and compute_a_matrix returned bare rows.
+FROZEN_COMMANDS = (
+    "eval 4 2.5",
+    "eval 10 0.25",
+    "eval 10 20",
+    "eval 1 3",
+    "eval 9 7.3 --skip-oracles",
+    "eval 0 2.5",
+    "eval 1 0 --skip-oracles",
+    "beta 10",
+    "qcoeff 3 12",
+    "amatrix 6 --check --det",
+    "amatrix 3 --format csv",
+    "eval --conv 3 1.5",
+    "eval --conv 8 12 --lam 1 --a 0.5",
+    "verify all",
+)
+FROZEN_OUTPUT_SHA256 = "a8b3cfd7127ed108ecca1ecad921df85efe6b0cd4eafde15fed65d06c1a639bb"
+
+
+def test_cli_output_frozen(capsys):
+    chunks = []
+    for command in FROZEN_COMMANDS:
+        rc = cli.main(command.split())
+        text = capsys.readouterr().out
+        if "--format csv" not in command:
+            payload = json.loads(text)
+            del payload["elapsed_ms"]
+            text = json.dumps(payload, indent=2) + "\n"
+        chunks.append(f"$ {command} -> {rc}\n{text}")
+    assert hashlib.sha256("".join(chunks).encode()).hexdigest() == FROZEN_OUTPUT_SHA256
+
+
+def test_qcoeff_builds_the_fraction_view_once(monkeypatch, capsys):
+    # each build makes smax + 1 Fractions, so one per row made qcoeff quadratic in smax
+    builds = []
+    coeffs = PowerSeriesInvX.coeffs.fget
+    monkeypatch.setattr(PowerSeriesInvX, "coeffs", property(lambda self: builds.append(self) or coeffs(self)))
+    assert cli.main(["qcoeff", "1", "40"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]["coefficients"]) == 41
+    assert len(builds) == 1

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from convpow import convolution
+from convpow import convolution, verify
 from convpow.convolution import (
     DEFAULT_MAX_DEPTH,
     ConvParams,
@@ -163,6 +163,17 @@ FROZEN_ORACLE_HEX = {
 
 def test_oracle_values_frozen():
     assert {key: f_quadrature_oracle(*key).hex() for key in FROZEN_ORACLE_HEX} == FROZEN_ORACLE_HEX
+
+
+def test_suite_oracle_shares_one_refinement_per_point(monkeypatch):
+    # f_1..f_4 at each of the four y from one loop that converges at 8192
+    # panels: 4 y x 2 grids x 4 levels, not a loop per level (80 passes)
+    passes = []
+    simpson = convolution.cumulative_simpson_uniform
+    monkeypatch.setattr(convolution, "cumulative_simpson_uniform", lambda *a: passes.append(1) or simpson(*a))
+    checks = verify.suite_oracle()
+    assert checks and all(c.ok for c in checks)
+    assert len(passes) == 32
 
 
 def test_oracle_validation_and_stall(monkeypatch):

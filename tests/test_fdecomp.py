@@ -8,7 +8,6 @@ import pytest
 from convpow import fdecomp, qcoeff, series
 from convpow.fdecomp import (
     BetaTable,
-    FEvaluator,
     _eval_j,
     beta_table,
     build_j_iterate,
@@ -195,7 +194,7 @@ def test_f_eval_validation():
 
 def test_evaluator_is_reusable():
     ev = make_f_evaluator(3)
-    assert isinstance(ev, FEvaluator)
+    assert isinstance(ev, BetaTable)
     a = ev.eval(1.5)
     b = ev.eval(1.5)
     assert a.value == b.value
@@ -289,7 +288,6 @@ def test_each_beta_level_is_built_once(monkeypatch):
     # level n extends the cached level n - 1, so filling f_1..f_9 evaluates
     # J^m at x = n once for each 1 <= m <= n <= 9: 45 evaluations, not 165
     beta_table.cache_clear()
-    make_f_evaluator.cache_clear()
     calls = []
     eval_j = fdecomp._eval_j
     monkeypatch.setattr(fdecomp, "_eval_j", lambda *args: calls.append(args) or eval_j(*args))
@@ -355,9 +353,9 @@ def test_reflection_evaluates_each_node_once(monkeypatch):
         return quad(lambda s: nodes.append(s) or f(s), a, b, tol)
 
     evals = []
-    real_eval = FEvaluator.eval
+    real_eval = BetaTable.eval
     monkeypatch.setattr(fdecomp, "adaptive_quad", recording_quad)
-    monkeypatch.setattr(FEvaluator, "eval", lambda self, y: evals.append(y) or real_eval(self, y))
+    monkeypatch.setattr(BetaTable, "eval", lambda self, y: evals.append(y) or real_eval(self, y))
     reflection_residual(3, 5.0)
     assert len(nodes) > len(set(nodes))  # the two quadratures share their nodes
     assert len(evals) == len(set(nodes))
