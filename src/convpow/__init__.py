@@ -12,7 +12,6 @@ from .series import (
     DEFAULT_ORDER,
     DEFAULT_PREC,
     EvalResult,
-    LogSeries,
     PowerSeriesInvX,
     backward_diff,
     harmonic_h,
@@ -49,7 +48,6 @@ __all__ = [
     "BetaTable",
     "ConvParams",
     "EvalResult",
-    "LogSeries",
     "PowerSeriesInvX",
     "QuadratureError",
     "a_determinant",

@@ -13,8 +13,9 @@ The J-iterate at level n is a polynomial in ln(x):
 with the pure series Q_j taken from the log-expansion family in `qcoeff`
 (the one satisfying the operator's derivative identity at every level;
 the short-recurrence family over there agrees with it only up to level
-3).  The beta constants are forced by
-f_n(0) = 0 for n >= 1, which triangularly determines
+3).  ``build_j_iterate(n)`` returns it as the tuple of its parts, part j
+the series (-1)^{n-j} Q_{n-j} / j! that multiplies ln(x)^j.  The beta
+constants are forced by f_n(0) = 0 for n >= 1, which triangularly determines
 
     beta_n = -sum_{k=0}^{n-1} beta_k * J^{n-k}[1](n),
 
@@ -28,14 +29,15 @@ How a point is evaluated.  Every part of every J-iterate is one of the
 same few series: part j of J^m is the scalar multiple (-1)^i Q_i / j! of
 Q_i, with i = m - j, and remembers that it is.  ``beta_table`` and
 ``BetaTable.eval`` evaluate J^0..J^n at one point x = p/q through one
-``series._Point``: each non-constant Q_i runs one exact integer Horner
-there, and every part's Horner sum is Q_i's, multiplied and divided
-exactly by the integers of its scale.  The powers of q's odd part, p^N,
-x^(-N), ln x and its powers and each tail model are also computed once
-per point.  The float operations that follow are those of evaluating each
-part and iterate on its own, in the same order, so every value, tail
-estimate and reliability flag is what it was when every part ran its own
-Horner, at n - 1 Horners per point instead of n(n+3)/2.  They run on
+``series._Point`` prepared at their precision: each non-constant Q_i runs
+one exact integer Horner there, and every part's Horner sum is Q_i's,
+multiplied and divided exactly by the integers of its scale.  The powers
+of q's odd part, p^N, x^(-N), ln x and its powers and each tail model are
+also computed once per point.  The float operations that follow are
+those of evaluating each part and iterate on its own, in the same order,
+so every value, tail estimate and reliability flag is what it was when
+every part ran its own Horner, at n - 1 Horners per point instead of
+n(n+3)/2.  They run on
 ``mpmath.libmp`` tuples at the evaluator's precision, rounding to nearest
 as ``mpf`` arithmetic does, so the caller's ``mpmath.mp.prec`` changes no
 bit; only the returned ``EvalResult`` and ``BetaTable`` hold ``mpf``.
@@ -61,7 +63,7 @@ from .series import (
     DEFAULT_ORDER,
     DEFAULT_PREC,
     EvalResult,
-    LogSeries,
+    PowerSeriesInvX,
     _exact,
     _make_mpf,
     _point,
@@ -75,9 +77,10 @@ _REFLECTION_TOL = 1e-10
 
 
 @lru_cache(maxsize=None)
-def build_j_iterate(n: int, order: int = DEFAULT_ORDER) -> LogSeries:
-    """Assemble J^n[1] from the log-expansion Q-series: part j of the
-    ln-polynomial is (-1)^{n-j} Q_{n-j} / j!.
+def build_j_iterate(n: int, order: int = DEFAULT_ORDER) -> tuple[PowerSeriesInvX, ...]:
+    """Assemble J^n[1] from the log-expansion Q-series as the tuple of its
+    ln-polynomial's parts: part j, the coefficient of ln(x)^j, is
+    (-1)^{n-j} Q_{n-j} / j!.
 
     Each part is a scalar multiple of its Q-series, so the parts of all
     iterates evaluated at one point share that series' Horner sum.  Uses
@@ -88,12 +91,7 @@ def build_j_iterate(n: int, order: int = DEFAULT_ORDER) -> LogSeries:
     if n < 0:
         raise ValueError(f"iterate index must be >= 0, got n={n}")
     qs = log_expansion_q_list(n, order)
-    parts = []
-    for j in range(n + 1):
-        q = qs[n - j]
-        sign = -1 if (n - j) % 2 else 1
-        parts.append(q * Fraction(sign, math.factorial(j)))
-    return LogSeries(parts)
+    return tuple(qs[n - j] * Fraction(-1 if (n - j) % 2 else 1, math.factorial(j)) for j in range(n + 1))
 
 
 def _eval_j(m: int, x, order: int, prec: int) -> EvalResult:
@@ -101,7 +99,7 @@ def _eval_j(m: int, x, order: int, prec: int) -> EvalResult:
     that point share.  J^1 also takes x = 1, where it is exactly ln 1 = 0."""
     if m == 0:
         return EvalResult(_make_mpf(fone), _make_mpf(fzero), True)
-    at = _point(x)
+    at = _point(x, prec)
     if not at.above_one and not (m == 1 and at.x == 1):
         raise ValueError(f"J-iterates with m >= 1 need x > 1, got x={at.x}")
     return logseries_eval(build_j_iterate(m, order), at, prec)
@@ -137,7 +135,7 @@ class BetaTable:
         if yf < 0:
             raise ValueError(f"f is only defined for y >= 0, got y={yf}")
         n = len(self.values) - 1
-        at = _Point(yf + n)
+        at = _Point(yf + n, self.prec)
         prec = self.prec
         value = tail = fzero
         reliable = True
@@ -170,7 +168,7 @@ def beta_table(n_max: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC)
     # positional, as make_f_evaluator passes them: lru_cache keys on the arguments as given
     for k in range(n_max):
         lower = beta_table(k, order, prec)
-    at = _Point(Fraction(n_max))
+    at = _Point(Fraction(n_max), prec)
     acc = acc_tail = fzero
     for k in range(n_max):
         r = _eval_j(n_max - k, at, order, prec)

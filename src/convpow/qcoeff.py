@@ -9,8 +9,8 @@ series by three routes:
   recurrence
       Q_{n+1} = -H[ li1_power(n) - backward_diff(Q_n) ]       (n >= 1)
   through the exact series layer.  Q_1 = 0 is initial data: the n = 0
-  instance of the recurrence is excluded by construction, since it would
-  produce a stray ln(x) (a nonzero constant term under H).
+  instance would hand H the constant li1_power(0) = 1, which
+  ``harmonic_h`` rejects, since it would integrate to a ln(x).
 * ``q_closed_form`` (a verification path) evaluates each coefficient
   directly from a double sum over Stirling numbers, binomials and
   triangular-matrix entries.  It is the exact solution of the short
@@ -56,22 +56,6 @@ from .combinatorics import stirling1_unsigned
 from .series import DEFAULT_ORDER, PowerSeriesInvX, backward_diff, harmonic_h, li1_power, shift_s
 
 
-def _neg_h_pure(arg: PowerSeriesInvX) -> PowerSeriesInvX:
-    """-H[arg] for a series with no constant term (so no ln appears).
-
-    A nonzero constant term would integrate to a logarithm, which cannot
-    be represented in the pure-series return type; that happening means
-    the recurrence invariants were violated upstream.  The argument is
-    negated before H, so the result is a series of its own, not the
-    negative of another one that would have to stay alive with it.
-    """
-    if arg.ints[0]:
-        raise ArithmeticError(
-            f"nonzero constant term {arg.coeff(0)} would put a ln(x) into a pure series"
-        )
-    return harmonic_h(-arg).part(0)
-
-
 @lru_cache(maxsize=None)
 def q_via_recurrence(n: int, order: int = DEFAULT_ORDER) -> PowerSeriesInvX:
     """Q_n of the short family as a truncated series, via the operator
@@ -90,7 +74,7 @@ def q_via_recurrence(n: int, order: int = DEFAULT_ORDER) -> PowerSeriesInvX:
         return PowerSeriesInvX.zero(order)  # initial data, see module docstring
     for k in range(1, n):  # bottom-up, so a cold call recurses one level at most
         prev = q_via_recurrence(k, order)
-    return _neg_h_pure(li1_power(n - 1, order) - backward_diff(prev))
+    return harmonic_h(backward_diff(prev) - li1_power(n - 1, order))
 
 
 def q_closed_form(n_plus_1: int, s: int) -> Fraction:
@@ -158,7 +142,7 @@ def log_expansion_q_list(n_max: int, order: int = DEFAULT_ORDER) -> tuple[PowerS
     bracket = _shifted(k, order) - qs[k]
     for j in range(k):
         bracket = bracket + _shifted(j, order) * li1_power(k - j, order)
-    return qs + (_neg_h_pure(bracket),)
+    return qs + (harmonic_h(-bracket),)  # negated before H: Q_{k+1} is no multiple of a kept series
 
 
 @lru_cache(maxsize=None)

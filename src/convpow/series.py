@@ -4,14 +4,14 @@ calculus acting on them.
 A :class:`PowerSeriesInvX` is sum_{k=0}^{N} a_k x^{-k} with rational
 coefficients and a fixed truncation order N, stored once, as integers over
 one common denominator (the layout of FLINT's ``fmpq_poly``).  A
-:class:`LogSeries` is a polynomial in ln(x) whose coefficients are such
-series; it is what the harmonic integration operator H produces, since H
-picks up a ln(x) from the constant term.
+polynomial in ln(x) with such series as coefficients is the tuple of its
+parts, part j multiplying ln(x)^j; ``logseries_eval`` evaluates one.
 
 The operators implemented here:
 
 * ``harmonic_h``       H[g](x) = integral of g(x)/x, constant pinned so
-                       that the 1/x-part vanishes at infinity,
+                       that it vanishes at infinity; g must have no
+                       constant term, which would integrate to a ln(x),
 * ``backward_diff``    the difference g(x) - g(x-1) re-expanded in 1/x,
 * ``shift_s``          the shift g(x) -> g(x-1),
 * ``li1_power``        (1/n!) * Li_1(1/x)^n, whose 1/x-coefficients are
@@ -39,12 +39,12 @@ that working precision, without an ``mpf`` object per step or a context
 switch; the caller's ``mpmath.mp.prec`` is neither read nor changed.  Only
 the ``EvalResult`` fields are ``mpf``.
 
-``series_eval`` and ``logseries_eval`` take a number or a prepared point
-(``_Point``) that several evaluations share.  A series made by negation or
-a scalar product remembers the series it multiplies (its root), and at a
-shared point all multiples of one root cost one exact Horner (``_horner``):
-a multiple's sum is the root's times an exact integer ratio, so the float
-that follows is the one its own Horner would give.  The f_n evaluator in
+``series_eval`` and ``logseries_eval`` take a number or a point prepared
+at their precision (``_Point``) that several evaluations share.  A series
+made by negation or a scalar product remembers the series it multiplies
+(its root), and at a shared point all multiples of one root cost one exact
+Horner (``_horner``): a multiple's sum is the root's times an exact integer
+ratio, so the float that follows is the one its own Horner would give.  The f_n evaluator in
 `fdecomp` evaluates all J-iterates at a point this way, since every part of
 every iterate is a multiple of one Q-series.
 """
@@ -247,44 +247,6 @@ class PowerSeriesInvX:
         return f"PowerSeriesInvX([{head}{tail}], order={self.order}, abscissa={self.conv_abscissa})"
 
 
-class LogSeries:
-    """Polynomial in ln(x) with PowerSeriesInvX coefficients.
-
-    ``parts[j]`` multiplies ln(x)**j.  All parts share one truncation
-    order.  Equality compares the parts tuples.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Iterable[PowerSeriesInvX]):
-        self.parts = tuple(parts)
-        if not self.parts:
-            raise ValueError("a LogSeries needs at least the ln-degree-0 part")
-        if len({p.order for p in self.parts}) != 1:
-            raise ValueError("all parts of a LogSeries must share one truncation order")
-
-    @property
-    def degree(self) -> int:
-        return len(self.parts) - 1
-
-    @property
-    def order(self) -> int:
-        return self.parts[0].order
-
-    def part(self, j: int) -> PowerSeriesInvX:
-        return self.parts[j]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LogSeries):
-            return NotImplemented
-        return self.parts == other.parts
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"LogSeries(degree={self.degree}, order={self.order})"
-
-
 class EvalResult:
     """A float evaluation plus a heuristic bound on the truncation tail.
 
@@ -315,21 +277,21 @@ class EvalResult:
         return float(self.value)
 
 
-def harmonic_h(g: PowerSeriesInvX) -> LogSeries:
+def harmonic_h(g: PowerSeriesInvX) -> PowerSeriesInvX:
     """Antiderivative of g(x)/x, re-expanded around infinity.
 
-    The constant term of g integrates to a_0 * ln(x); every other term
-    integrates to -(a_k/k) x^{-k}, with the integration constant pinned
-    so the 1/x-part vanishes at infinity.  On the integers, with
+    Each term a_k x^{-k} integrates to -(a_k/k) x^{-k}, with the
+    integration constant pinned so the result vanishes at infinity.  A
+    nonzero a_0 would integrate to a_0 * ln(x), which no recurrence here
+    produces, so it raises ArithmeticError.  On the integers, with
     L = lcm(1..N), -a_k/k is -ints[k] * (L/k) over den * L.
     """
+    if g.ints[0]:
+        raise ArithmeticError(f"nonzero constant term {g.coeff(0)} would put a ln(x) into H[g]")
     n = g.order
     lcm = math.lcm(*range(1, n + 1))
     pure = [0] + [-g.ints[k] * (lcm // k) for k in range(1, n + 1)]
-    return LogSeries([
-        PowerSeriesInvX._from_scaled(g.den * lcm, pure, g.conv_abscissa),
-        PowerSeriesInvX._from_scaled(g.den, [g.ints[0]] + [0] * n, g.conv_abscissa),
-    ])
+    return PowerSeriesInvX._from_scaled(g.den * lcm, pure, g.conv_abscissa)
 
 
 def backward_diff(g: PowerSeriesInvX) -> PowerSeriesInvX:
@@ -377,14 +339,6 @@ def shift_s(g: PowerSeriesInvX) -> PowerSeriesInvX:
     return g - backward_diff(g)
 
 
-def _int_powers(p: int, n: int) -> list[int]:
-    """p^0, p^1, ..., p^n."""
-    powers = [1] * (n + 1)
-    for k in range(1, n + 1):
-        powers[k] = powers[k - 1] * p
-    return powers
-
-
 def _horner(ints, p: int, shift: int, opow) -> int:
     """Exact Horner sum of ints[k] * p^(N-k) * q^k, k = 0..N, where
     q = odd * 2^shift and opow = odd^0..odd^N.
@@ -400,14 +354,14 @@ def _horner(ints, p: int, shift: int, opow) -> int:
 
 
 class _Point:
-    """An evaluation point x = p/q, prepared once for every series evaluated
-    at it.
+    """An evaluation point x = p/q, prepared once at one precision for every
+    series evaluated at it.
 
     It keeps q = odd * 2^shift, the powers of odd, whether x > 1 (the one
-    range test of the J-iterates and of ln x) and, per precision, p^N,
-    x^(-N) and the powers of ln x as ``_mpf_`` tuples.  It also keeps one
-    record per root (the series every scalar multiple of it points to) and
-    precision: the root's exact Horner sum, its reliability flag, 1 - rho,
+    range test of the J-iterates and of ln x) and, as ``_mpf_`` tuples at
+    its precision, p^N and x^(-N) per order N and the powers of ln x.  It
+    also keeps one record per root (the series every scalar multiple of it
+    points to): the root's exact Horner sum, its reliability flag, 1 - rho,
     and the float of each scaled sum asked for.  So the range check, the
     Horner sum and the tail model are computed once per root; a multiple's
     sum is the root's times num / div, exactly, and its tail ratio is the
@@ -417,46 +371,47 @@ class _Point:
     evaluation; nothing is kept beyond it.
     """
 
-    __slots__ = ("x", "above_one", "_shift", "_odd", "_powers", "_floats", "_weights", "_roots")
+    __slots__ = ("x", "prec", "above_one", "_shift", "_odd", "_opow", "_floats", "_weights", "_roots")
 
-    def __init__(self, xf: Fraction):
+    def __init__(self, xf: Fraction, prec: int):
         self.x = xf
+        self.prec = prec
         self.above_one = xf > 1
         q = xf.denominator
         self._shift = (q & -q).bit_length() - 1
         self._odd = q >> self._shift
-        self._powers = {}  # N -> odd^0..odd^N
-        self._floats = {}  # (N, prec) -> (p^N, x^(-N))
-        self._weights = {}  # prec -> ([ln(x)^j], [|ln(x)|^j], ln(x))
-        self._roots = {}  # (id(root), prec) -> (root, exact Horner sum, reliable, 1 - rho, {(num, div): sum})
+        self._opow = [1]  # odd^0, odd^1, ..., grown to the largest order asked
+        self._floats = {}  # N -> (p^N, x^(-N))
+        self._weights = None  # ([ln(x)^j], [|ln(x)|^j], ln(x))
+        self._roots = {}  # id(root) -> (root, exact Horner sum, reliable, 1 - rho, {(num, div): sum})
 
     def powers(self, n: int) -> list[int]:
-        opow = self._powers.get(n)
-        if opow is None:
-            opow = self._powers[n] = _int_powers(self._odd, n)
+        opow = self._opow
+        while len(opow) <= n:
+            opow.append(opow[-1] * self._odd)
         return opow
 
-    def floats(self, n: int, prec: int):
-        got = self._floats.get((n, prec))
+    def floats(self, n: int):
+        got = self._floats.get(n)
         if got is None:
-            x_pow = mpf_pow_int(_to_mpf(self.x, prec), -n, prec, round_nearest)
-            got = self._floats[n, prec] = (from_int(self.x.numerator**n, prec, round_nearest), x_pow)
+            x_pow = mpf_pow_int(_to_mpf(self.x, self.prec), -n, self.prec, round_nearest)
+            got = self._floats[n] = (from_int(self.x.numerator**n, self.prec, round_nearest), x_pow)
         return got
 
-    def ln_weights(self, degree: int, prec: int):
+    def ln_weights(self, degree: int):
         """ln(x)^0..ln(x)^degree by repeated products, and their absolute values."""
-        got = self._weights.get(prec)
-        if got is None:
-            got = self._weights[prec] = ([fone], [fone], mpf_log(_to_mpf(self.x, prec), prec, round_nearest))
-        weights, abs_weights, lnx = got
+        prec = self.prec
+        if self._weights is None:
+            self._weights = ([fone], [fone], mpf_log(_to_mpf(self.x, prec), prec, round_nearest))
+        weights, abs_weights, lnx = self._weights
         while len(weights) <= degree:
             weights.append(mpf_mul(weights[-1], lnx, prec, round_nearest))
             abs_weights.append(mpf_abs(weights[-1], prec, round_nearest))
         return weights, abs_weights
 
-    def terms(self, g: PowerSeriesInvX, ratio: Fraction | None, prec: int):
+    def terms(self, g: PowerSeriesInvX, ratio: Fraction | None):
         """(g's exact Horner sum, reliable, 1 - rho), the floats as
-        ``_mpf_`` tuples at precision prec.
+        ``_mpf_`` tuples at the point's precision.
 
         The root is range-checked against its convergence abscissa, which
         its scalar multiples share.  The tail model: rho = max(ratio, 1) / x
@@ -466,7 +421,7 @@ class _Point:
         tail, and 1 - rho is None.
         """
         root, num, div = g._multiple or (g, 1, 1)
-        got = self._roots.get((id(root), prec))
+        got = self._roots.get(id(root))
         value = None if got is None else got[4].get((num, div))
         if value is None:
             if got is None:
@@ -478,15 +433,18 @@ class _Point:
                 if ratio is not None:
                     rho = max(ratio, Fraction(1)) / self.x
                     reliable = rho < 1
-                    one_minus_rho = _to_mpf(1 - min(rho, _TAIL_RATIO_CAP), prec)
+                    one_minus_rho = _to_mpf(1 - min(rho, _TAIL_RATIO_CAP), self.prec)
                 summed = _horner(root.ints, self.x.numerator, self._shift, self.powers(root.order))
-                got = self._roots[id(root), prec] = (root, summed, reliable, one_minus_rho, {})
-            value = got[4][num, div] = from_int(got[1] * num // div, prec, round_nearest)
+                got = self._roots[id(root)] = (root, summed, reliable, one_minus_rho, {})
+            value = got[4][num, div] = from_int(got[1] * num // div, self.prec, round_nearest)
         return value, got[2], got[3]
 
 
-def _point(x) -> _Point:
-    return x if isinstance(x, _Point) else _Point(_exact(x))
+def _point(x, prec: int) -> _Point:
+    at = x if isinstance(x, _Point) else _Point(_exact(x), prec)
+    if at.prec != prec:  # a shared point serves one precision
+        raise ValueError(f"a point prepared at {at.prec} bits is evaluated at {prec}")
+    return at
 
 
 def series_eval(g: PowerSeriesInvX, x, prec: int = DEFAULT_PREC) -> EvalResult:
@@ -497,16 +455,16 @@ def series_eval(g: PowerSeriesInvX, x, prec: int = DEFAULT_PREC) -> EvalResult:
     integers (``_horner``) and the single division happens at float
     precision ``prec``.  Constant series evaluate anywhere (the point is not
     even range-checked, matching the convention that degree-0 data has no
-    singularity).  Inside the package x may also be a ``_Point`` shared by
-    several evaluations, which then share its powers, Horner sums and tail
-    models.
+    singularity).  Inside the package x may also be a ``_Point`` prepared at
+    ``prec`` and shared by several evaluations, which then share its
+    powers, Horner sums and tail models.
     """
-    at = _point(x)
+    at = _point(x, prec)
     constant, den, abs_last, ratio = g._eval_floats(prec)
     if constant is not None:
         return EvalResult(_make_mpf(constant), _make_mpf(fzero), True)
-    numerator, reliable, one_minus_rho = at.terms(g, ratio, prec)
-    p_n, x_pow = at.floats(g.order, prec)
+    numerator, reliable, one_minus_rho = at.terms(g, ratio)
+    p_n, x_pow = at.floats(g.order)
     value = mpf_div(numerator, mpf_mul(den, p_n, prec, round_nearest), prec, round_nearest)
     tail = fzero
     if one_minus_rho is not None:
@@ -514,22 +472,24 @@ def series_eval(g: PowerSeriesInvX, x, prec: int = DEFAULT_PREC) -> EvalResult:
     return EvalResult(_make_mpf(value), _make_mpf(tail), reliable)
 
 
-def logseries_eval(g: LogSeries, x, prec: int = DEFAULT_PREC) -> EvalResult:
-    """Evaluate a LogSeries; tails of the parts combine with |ln x|^j weights.
+def logseries_eval(parts: tuple[PowerSeriesInvX, ...], x, prec: int = DEFAULT_PREC) -> EvalResult:
+    """Evaluate sum_j parts[j] * ln(x)^j; tails of the parts combine with |ln x|^j weights.
 
     x may be a ``_Point`` as in ``series_eval``; the J-iterates of one f_n
     value share one, so each Q-series is summed once per point.
     """
-    at = _point(x)
-    if g.degree >= 1:
+    if not parts:
+        raise ValueError("a polynomial in ln(x) needs at least its ln-degree-0 part")
+    at = _point(x, prec)
+    if len(parts) > 1:
         if not at.above_one and at.x <= 0:
             raise ValueError(f"ln(x) requires x > 0, got {at.x}")
-        weights, abs_weights = at.ln_weights(g.degree, prec)
-    r = series_eval(g.parts[0], at, prec)
+        weights, abs_weights = at.ln_weights(len(parts) - 1)
+    r = series_eval(parts[0], at, prec)
     # part 0's weight is ln(x)^0 = 1, and its value is already rounded to prec
     value, tail, reliable = r.value._mpf_, r.tail_estimate._mpf_, r.tail_reliable
-    for j in range(1, len(g.parts)):
-        r = series_eval(g.parts[j], at, prec)
+    for j in range(1, len(parts)):
+        r = series_eval(parts[j], at, prec)
         value = mpf_add(value, mpf_mul(r.value._mpf_, weights[j], prec, round_nearest), prec, round_nearest)
         tail = mpf_add(tail, mpf_mul(r.tail_estimate._mpf_, abs_weights[j], prec, round_nearest), prec, round_nearest)
         reliable = reliable and r.tail_reliable

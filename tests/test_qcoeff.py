@@ -10,8 +10,8 @@ import pytest
 from convpow import qcoeff, series
 from convpow.combinatorics import stirling1_unsigned
 from convpow.fdecomp import build_j_iterate
-from convpow.qcoeff import _neg_h_pure, log_expansion_q_list, q_closed_form, q_via_recurrence
-from convpow.series import PowerSeriesInvX, backward_diff, li1_power, shift_s
+from convpow.qcoeff import log_expansion_q_list, q_closed_form, q_via_recurrence
+from convpow.series import PowerSeriesInvX, backward_diff, harmonic_h, li1_power, shift_s
 
 F = Fraction
 
@@ -62,8 +62,9 @@ def test_returns_tagged_series():
 
 
 def test_neg_h_rejects_constant_term():
+    # the recurrence negates its bracket before H; a constant term is still refused
     with pytest.raises(ArithmeticError):
-        _neg_h_pure(PowerSeriesInvX.constant(1, 4))
+        harmonic_h(-PowerSeriesInvX.constant(1, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +144,7 @@ def test_level_four_cross_term_by_hand():
     from convpow.series import backward_diff
 
     bracket = li1_power(3, order) + shift_s(q2) * li1_power(1, order) - backward_diff(q3)
-    assert full[4] == _neg_h_pure(bracket)
+    assert full[4] == harmonic_h(-bracket)
 
 
 def test_each_level_is_built_once():
@@ -223,7 +224,7 @@ def test_each_q_series_is_its_own_root():
     qs = log_expansion_q_list(10, 64)
     assert all(q._multiple is None for q in qs)
     for m in range(11):
-        parts = build_j_iterate(m, 64).parts
+        parts = build_j_iterate(m, 64)
         assert all(parts[j]._multiple[0] is log_expansion_q_list(m, 64)[m - j] for j in range(m + 1)), m
 
 

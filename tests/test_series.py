@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from convpow import series
 from convpow.series import (
     EvalResult,
-    LogSeries,
     PowerSeriesInvX,
     backward_diff,
     harmonic_h,
@@ -82,24 +81,37 @@ def test_mul_matches_brute_force(a, b):
 
 
 def test_h_of_one_is_ln():
+    # H[1] = ln(x) is no series in 1/x, so harmonic_h raises on it; it is
+    # the ln-polynomial (0, 1), which logseries_eval reads as ln(x)
     n = 6
-    got = harmonic_h(PowerSeriesInvX.constant(1, n))
-    assert got == LogSeries([PowerSeriesInvX.zero(n), PowerSeriesInvX.constant(1, n)])
+    with pytest.raises(ArithmeticError):
+        harmonic_h(PowerSeriesInvX.constant(1, 4))
+    ln_x = (PowerSeriesInvX.zero(n), PowerSeriesInvX.constant(1, n))
+    for x in (F(2), F(13, 2), F(10**6)):
+        got = logseries_eval(ln_x, x, 80)
+        with mpmath.workprec(80):
+            assert got.value == mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
+
+
+def test_h_rejects_constant_term():
+    # a nonzero constant term raises, whatever follows it, and the same
+    # series without it integrates
+    n = 6
+    for a0 in (F(1), F(-2, 3)):
+        with pytest.raises(ArithmeticError, match="constant term"):
+            harmonic_h(PowerSeriesInvX([a0, F(1)] + [F(0)] * (n - 1)))
+    assert harmonic_h(PowerSeriesInvX([F(0), F(1)] + [F(0)] * (n - 1))).coeff(1) == -1
 
 
 def test_h_of_inverse_x():
     n = 5
     g = PowerSeriesInvX([F(0), F(1)] + [F(0)] * (n - 1))
-    got = harmonic_h(g)
-    assert got.part(1) == PowerSeriesInvX.zero(n)
-    assert got.part(0) == PowerSeriesInvX([F(0), F(-1)] + [F(0)] * (n - 1))
+    assert harmonic_h(g) == PowerSeriesInvX([F(0), F(-1)] + [F(0)] * (n - 1))
 
 
 def test_h_of_li1_is_minus_li2():
     n = 12
-    got = harmonic_h(li1_power(1, n))
-    assert got.part(0) == -li2_series(n)
-    assert got.part(1) == PowerSeriesInvX.zero(n)
+    assert harmonic_h(li1_power(1, n)) == -li2_series(n)
 
 
 @given(
@@ -109,12 +121,10 @@ def test_h_of_li1_is_minus_li2():
     small_fractions,
 )
 def test_h_linearity(a, b, alpha, beta):
-    f = PowerSeriesInvX(a)
-    g = PowerSeriesInvX(b)
-    lhs = harmonic_h(f * alpha + g * beta)
-    hf, hg = harmonic_h(f), harmonic_h(g)
-    assert lhs.part(0) == hf.part(0) * alpha + hg.part(0) * beta
-    assert lhs.part(1) == hf.part(1) * alpha + hg.part(1) * beta
+    # H acts on series without a constant term
+    f = PowerSeriesInvX([F(0)] + a[1:])
+    g = PowerSeriesInvX([F(0)] + b[1:])
+    assert harmonic_h(f * alpha + g * beta) == harmonic_h(f) * alpha + harmonic_h(g) * beta
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +229,11 @@ def test_integer_kernels_match_fraction_reference(pair, c):
     assert_exact(-f, [-x for x in a], f.conv_abscissa)
     assert_exact(f * c, [Fraction(c) * x for x in a], f.conv_abscissa)
     assert_exact(c * f, [Fraction(c) * x for x in a], f.conv_abscissa)
-    h = harmonic_h(f)
-    assert_exact(h.part(0), [F(0)] + [-x / k for k, x in enumerate(a) if k], f.conv_abscissa)
-    assert_exact(h.part(1), [a[0]] + [F(0)] * f.order, f.conv_abscissa)
+    pure = PowerSeriesInvX([F(0)] + a[1:], f.conv_abscissa)
+    assert_exact(harmonic_h(pure), [F(0)] + [-x / k for k, x in enumerate(a) if k], f.conv_abscissa)
+    if a[0]:
+        with pytest.raises(ArithmeticError):
+            harmonic_h(f)
     assert_exact(shift_s(f), [x - y for x, y in zip(a, nabla_brute(a))], f.conv_abscissa + 1)
     # the stored form is unique, so == is coefficient equality whatever
     # route built the two sides
@@ -240,7 +252,7 @@ def test_scalar_multiples_share_one_horner_at_a_point(monkeypatch):
     calls = []
     horner = series._horner
     monkeypatch.setattr(series, "_horner", lambda *args: calls.append(args) or horner(*args))
-    at = series._Point(Fraction(17, 4))
+    at = series._Point(Fraction(17, 4), 96)
     for m in multiples:
         got = series_eval(m, at, 96)
         want = series_eval(PowerSeriesInvX(m.coeffs, m.conv_abscissa), Fraction(17, 4), 96)
@@ -249,7 +261,17 @@ def test_scalar_multiples_share_one_horner_at_a_point(monkeypatch):
         assert got.tail_reliable == want.tail_reliable
     assert len(calls) == 1 + len(multiples)  # f's at the shared point, one per unlinked copy
     with pytest.raises(ValueError, match="below the convergence abscissa 2"):
-        series_eval(-f, series._Point(Fraction(3, 2)))
+        series_eval(-f, series._Point(Fraction(3, 2), 128), 128)
+
+
+def test_a_point_serves_one_precision():
+    f = PowerSeriesInvX([0, 1, Fraction(1, 2)])
+    at = series._Point(Fraction(5, 2), 96)
+    assert series_eval(f, at, 96) == series_eval(f, Fraction(5, 2), 96)
+    with pytest.raises(ValueError, match="prepared at 96 bits"):
+        series_eval(f, at, 128)
+    with pytest.raises(ValueError, match="prepared at 96 bits"):
+        logseries_eval((f, f), at, 128)
 
 
 @st.composite
@@ -319,7 +341,7 @@ def test_shift_of_inverse_x_is_geometric():
 def test_shift_rejects_high_log_degree():
     # S acts on pure series only; a log-polynomial is rejected whatever its degree
     n = 4
-    quadratic = LogSeries([PowerSeriesInvX.zero(n)] * 3)
+    quadratic = (PowerSeriesInvX.zero(n),) * 3
     with pytest.raises(TypeError):
         shift_s(quadratic)
     with pytest.raises(TypeError):
@@ -364,6 +386,30 @@ def test_eval_tail_unreliable_on_boundary():
     assert math.isfinite(float(r))
 
 
+@pytest.mark.parametrize(
+    "coeffs, x, reliable",
+    [
+        ([1, 2, F(-3, 7), 0], F(5, 2), True),  # a_N = 0: no tail
+        ([1, 2, F(-3, 7), 0], 1, True),  # ... and no model to flag, even at x = 1
+        ([1, 2, 0, F(3, 5)], F(5, 2), True),  # a_{N-1} = 0: the ratio is 1
+        ([0, 1, F(2, 3), F(-6, 5)], 10, True),  # rho = 9/50 < 1
+        ([0, 1, F(1, 3), F(-4, 3)], 3, False),  # rho = 4/3, capped at 255/256
+        ([0, 1, F(7, 2), F(7, 2)], 1, False),  # rho = 1, capped at 255/256
+    ],
+)
+def test_tail_model_branch_by_branch(coeffs, x, reliable):
+    # tail = |a_N| x^-N / (1 - min(max(|a_N / a_{N-1}|, 1) / x, 255/256))
+    r = series_eval(PowerSeriesInvX(coeffs), x)
+    assert r.tail_reliable is reliable
+    with mpmath.workprec(256):
+        mpf = lambda q: mpmath.mpf(F(q).numerator) / F(q).denominator
+        last, prev = abs(mpf(coeffs[-1])), abs(mpf(coeffs[-2]))
+        ratio = last / prev if prev else mpmath.mpf(1)
+        rho = min(max(ratio, 1) / mpf(x), mpmath.mpf(255) / 256)
+        want = last * mpf(x) ** -(len(coeffs) - 1) / (1 - rho)
+        assert abs(r.tail_estimate - want) <= abs(want) * mpmath.mpf(10) ** -30
+
+
 @pytest.mark.parametrize("order", [16, 32, 64])
 def test_eval_tail_bounds_doubling_error(order):
     at_n = series_eval(li2_series(order), 3)
@@ -385,20 +431,20 @@ def test_eval_matches_exact_rational_sum(a, x):
 
 
 def test_logseries_eval_degree_zero_is_plain():
-    g = LogSeries([PowerSeriesInvX.constant(1, 8)])
+    g = (PowerSeriesInvX.constant(1, 8),)
     assert float(logseries_eval(g, 17.5)) == 1.0
 
 
 def test_logseries_eval_ln_vanishes_at_one():
     n = 8
-    j1 = LogSeries([PowerSeriesInvX.zero(n), PowerSeriesInvX.constant(1, n)])
+    j1 = (PowerSeriesInvX.zero(n), PowerSeriesInvX.constant(1, n))
     assert float(logseries_eval(j1, 1)) == 0.0
 
 
 def test_logseries_eval_dilog_identity():
     # ln(2)^2/2 + Li_2(1/2) = pi^2/12
     n = 64
-    g = LogSeries([li2_series(n), PowerSeriesInvX.zero(n), PowerSeriesInvX.constant(F(1, 2), n)])
+    g = (li2_series(n), PowerSeriesInvX.zero(n), PowerSeriesInvX.constant(F(1, 2), n))
     r = logseries_eval(g, 2)
     with mpmath.workprec(128):
         assert abs(r.value - mpmath.pi**2 / 12) < 1e-15
@@ -406,9 +452,14 @@ def test_logseries_eval_dilog_identity():
 
 def test_logseries_eval_rejects_nonpositive():
     n = 4
-    g = LogSeries([PowerSeriesInvX.zero(n), PowerSeriesInvX.constant(1, n)])
+    g = (PowerSeriesInvX.zero(n), PowerSeriesInvX.constant(1, n))
     with pytest.raises(ValueError):
         logseries_eval(g, 0)
+
+
+def test_logseries_eval_rejects_empty():
+    with pytest.raises(ValueError, match="ln-degree-0 part"):
+        logseries_eval((), 2)
 
 
 def test_eval_result_equality_and_float():
