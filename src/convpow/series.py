@@ -27,17 +27,22 @@ as exact integers (Horner) and converts to an mpmath float once, at the
 end.  Fractions are built only when a caller asks for ``coeffs``.  Each
 evaluation carries a geometric-ratio tail estimate for the truncated
 remainder, flagged unreliable when the last coefficient ratio does not
-support a geometric model at the requested point.
+support a geometric model at the requested point.  That model runs on
+integers too: with max(|a_N / a_{N-1}|, 1) = a/b and x = p/q, the ratio
+rho = u/v of u = a*q and v = b*p is compared by cross-multiplying, and
+1 - rho = (v - u)/v is reduced by gcd(u, v) before its one conversion.
 
 The Horner sum at x = p/q runs in ascending powers of 1/x, multiplying by
 p at each step; q = odd * 2^s enters each coefficient as odd^k shifted
 left by s*k bits.  A float point is dyadic (odd = 1), so each step is a
-product by a word-sized p and a shift.  The float work after it runs on
-``mpmath.libmp`` tuples (``_mpf_``) at the requested precision with
-round-to-nearest, the operations mpmath's own ``mpf`` arithmetic does at
-that working precision, without an ``mpf`` object per step or a context
-switch; the caller's ``mpmath.mp.prec`` is neither read nor changed.  Only
-the ``EvalResult`` fields are ``mpf``.
+product by a word-sized p and a shift, with no power of odd at all.  A
+part of a polynomial in ln(x) that is exactly zero costs no evaluation:
+adding its 0 would not change a sum already rounded.  The float work after
+the Horner sum runs on ``mpmath.libmp`` tuples (``_mpf_``) at the requested
+precision with round-to-nearest, the operations mpmath's own ``mpf``
+arithmetic does at that working precision, without an ``mpf`` object per
+step or a context switch; the caller's ``mpmath.mp.prec`` is neither read
+nor changed.  Only the ``EvalResult`` fields are ``mpf``.
 
 ``series_eval`` and ``logseries_eval`` take a number or a point prepared
 at their precision (``_Point``) that several evaluations share.  A series
@@ -69,9 +74,10 @@ DEFAULT_PREC = 128
 
 Rational = Union[int, Fraction]
 
-# Stand-in ratio when the geometric model fails; keeps the tail estimate
-# finite (and visibly large) rather than dividing by ~0.
-_TAIL_RATIO_CAP = Fraction(255, 256)
+# 1 - rho when the geometric model fails and rho is capped at 255/256: 2^-8,
+# exact at every precision, keeps the tail estimate finite (and visibly
+# large) rather than dividing by ~0.
+_ONE_MINUS_CAPPED_RHO = (0, 1, -8, 1)
 
 
 def _exact(x) -> Fraction:
@@ -122,7 +128,7 @@ class PowerSeriesInvX:
         self.den = math.lcm(*(c.denominator for c in fracs))
         self.ints = tuple(c.numerator * (self.den // c.denominator) for c in fracs)
         self._multiple = None  # (root, num, div): ints are root's * num / div
-        self._floats = None  # lazy {prec: what evaluation needs at prec}
+        self._floats = {}  # {prec: what evaluation needs at prec}, filled on use
 
     @classmethod
     def _from_scaled(cls, den: int, ints, conv_abscissa: Fraction, multiple=None) -> "PowerSeriesInvX":
@@ -138,7 +144,7 @@ class PowerSeriesInvX:
         self.ints = tuple(c // g for c in ints) if g > 1 else tuple(ints)
         self.conv_abscissa = conv_abscissa
         self._multiple = None if multiple is None else (multiple[0], multiple[1], multiple[2] * g)
-        self._floats = None
+        self._floats = {}
         return self
 
     @classmethod
@@ -178,19 +184,17 @@ class PowerSeriesInvX:
         floats as ``_mpf_`` tuples at precision prec: what evaluation needs
         besides the integers and the point, cached per precision.
 
-        The tail ratio is |a_N / a_{N-1}| of the geometric tail model (1
-        when a_{N-1} = 0), or None when a_N = 0 and the model puts no tail
-        at all.
+        The tail ratio is the pair of integers (a, b) with a / b =
+        max(|a_N / a_{N-1}|, 1) of the geometric tail model (1 when
+        a_{N-1} = 0), or None when a_N = 0 and the model puts no tail at all.
         """
-        if self._floats is None:
-            self._floats = {}
         got = self._floats.get(prec)
         if got is None:
             if self.is_constant:
                 got = (_to_mpf(self.coeff(0), prec), None, None, None)
             else:
                 last, prev = abs(self.ints[-1]), abs(self.ints[-2])
-                ratio = None if not last else Fraction(last, prev) if prev else Fraction(1)
+                ratio = None if not last else (last, prev) if last > prev > 0 else (1, 1)
                 got = (None, from_int(self.den, prec, round_nearest), _to_mpf(Fraction(last, self.den), prec), ratio)
             self._floats[prec] = got
         return got
@@ -341,15 +345,20 @@ def shift_s(g: PowerSeriesInvX) -> PowerSeriesInvX:
 
 def _horner(ints, p: int, shift: int, opow) -> int:
     """Exact Horner sum of ints[k] * p^(N-k) * q^k, k = 0..N, where
-    q = odd * 2^shift and opow = odd^0..odd^N.
+    q = odd * 2^shift and opow = odd^0..odd^N, or None when odd = 1.
 
     With ints = den * a_k of a series and x = p/q, the series' partial sum
     at x is this integer over den * p^N.  It runs in ascending k, acc * p +
-    ints[k] * q^k, with q^k = odd^k << shift*k: one product by p per step.
+    ints[k] * q^k, with q^k = odd^k << shift*k: one product by p per step,
+    and for a float point (odd = 1) no product by odd^k at all.
     """
     acc = ints[0]
-    for k in range(1, len(ints)):
-        acc = acc * p + ((ints[k] * opow[k]) << (shift * k))
+    if opow is None:
+        for k in range(1, len(ints)):
+            acc = acc * p + (ints[k] << (shift * k))
+    else:
+        for k in range(1, len(ints)):
+            acc = acc * p + ((ints[k] * opow[k]) << (shift * k))
     return acc
 
 
@@ -357,21 +366,22 @@ class _Point:
     """An evaluation point x = p/q, prepared once at one precision for every
     series evaluated at it.
 
-    It keeps q = odd * 2^shift, the powers of odd, whether x > 1 (the one
-    range test of the J-iterates and of ln x) and, as ``_mpf_`` tuples at
-    its precision, p^N and x^(-N) per order N and the powers of ln x.  It
-    also keeps one record per root (the series every scalar multiple of it
+    It keeps q = odd * 2^shift, the powers of odd (none for a float
+    point, where odd = 1), whether x > 1 (the one range test of the
+    J-iterates and of ln x) and, as ``_mpf_`` tuples at its precision, x
+    itself, p^N and x^(-N) per order N and the powers of ln x.  It also
+    keeps one record per root (the series every scalar multiple of it
     points to): the root's exact Horner sum, its reliability flag, 1 - rho,
     and the float of each scaled sum asked for.  So the range check, the
-    Horner sum and the tail model are computed once per root; a multiple's
-    sum is the root's times num / div, exactly, and its tail ratio is the
-    root's.  The parts of the J-iterates that one Q-series makes,
-    (-1)^i Q_i / j!, share one scale: j! enters their denominator, not
-    num / div, so their sum is converted once.  A point lives for one
-    evaluation; nothing is kept beyond it.
+    Horner sum and the tail model are computed once per root, all three on
+    integers; a multiple's sum is the root's times num / div, exactly, and
+    its tail ratio is the root's.  The parts of the J-iterates that one
+    Q-series makes, (-1)^i Q_i / j!, share one scale: j! enters their
+    denominator, not num / div, so their sum is converted once.  A point
+    lives for one evaluation; nothing is kept beyond it.
     """
 
-    __slots__ = ("x", "prec", "above_one", "_shift", "_odd", "_opow", "_floats", "_weights", "_roots")
+    __slots__ = ("x", "prec", "above_one", "_shift", "_odd", "_opow", "_mpf", "_floats", "_weights", "_roots")
 
     def __init__(self, xf: Fraction, prec: int):
         self.x = xf
@@ -381,6 +391,7 @@ class _Point:
         self._shift = (q & -q).bit_length() - 1
         self._odd = q >> self._shift
         self._opow = [1]  # odd^0, odd^1, ..., grown to the largest order asked
+        self._mpf = _to_mpf(xf, prec)
         self._floats = {}  # N -> (p^N, x^(-N))
         self._weights = None  # ([ln(x)^j], [|ln(x)|^j], ln(x))
         self._roots = {}  # id(root) -> (root, exact Horner sum, reliable, 1 - rho, {(num, div): sum})
@@ -394,7 +405,7 @@ class _Point:
     def floats(self, n: int):
         got = self._floats.get(n)
         if got is None:
-            x_pow = mpf_pow_int(_to_mpf(self.x, self.prec), -n, self.prec, round_nearest)
+            x_pow = mpf_pow_int(self._mpf, -n, self.prec, round_nearest)
             got = self._floats[n] = (from_int(self.x.numerator**n, self.prec, round_nearest), x_pow)
         return got
 
@@ -402,39 +413,45 @@ class _Point:
         """ln(x)^0..ln(x)^degree by repeated products, and their absolute values."""
         prec = self.prec
         if self._weights is None:
-            self._weights = ([fone], [fone], mpf_log(_to_mpf(self.x, prec), prec, round_nearest))
+            self._weights = ([fone], [fone], mpf_log(self._mpf, prec, round_nearest))
         weights, abs_weights, lnx = self._weights
         while len(weights) <= degree:
             weights.append(mpf_mul(weights[-1], lnx, prec, round_nearest))
             abs_weights.append(mpf_abs(weights[-1], prec, round_nearest))
         return weights, abs_weights
 
-    def terms(self, g: PowerSeriesInvX, ratio: Fraction | None):
+    def terms(self, g: PowerSeriesInvX, ratio: tuple[int, int] | None):
         """(g's exact Horner sum, reliable, 1 - rho), the floats as
         ``_mpf_`` tuples at the point's precision.
 
         The root is range-checked against its convergence abscissa, which
-        its scalar multiples share.  The tail model: rho = max(ratio, 1) / x
-        decays when rho < 1 (the reliability flag), and rho is capped below
-        1 before 1 - rho is converted; the tail estimate is then
-        |a_N| * x^(-N) / (1 - rho).  With no ratio (a_N = 0) there is no
-        tail, and 1 - rho is None.
+        its scalar multiples share.  The tail model: rho = (a/b) / x with
+        (a, b) = ratio decays when rho < 1 (the reliability flag), and rho
+        is capped at 255/256 before 1 - rho is converted; the tail estimate
+        is then |a_N| * x^(-N) / (1 - rho).  It runs on integers: with
+        x = p/q, rho = u/v for u = a*q and v = b*p, and uncapped 1 - rho is
+        (v - u)/v, converted in lowest terms as ``_to_mpf`` converts the
+        Fraction.  With no ratio (a_N = 0) there is no tail, and 1 - rho is
+        None.
         """
         root, num, div = g._multiple or (g, 1, 1)
         got = self._roots.get(id(root))
         value = None if got is None else got[4].get((num, div))
         if value is None:
             if got is None:
-                if self.x < root.conv_abscissa:
-                    raise ValueError(
-                        f"evaluation point {self.x} is below the convergence abscissa {root.conv_abscissa}"
-                    )
+                p, q, abscissa = self.x.numerator, self.x.denominator, root.conv_abscissa
+                if p * abscissa.denominator < abscissa.numerator * q:
+                    raise ValueError(f"evaluation point {self.x} is below the convergence abscissa {abscissa}")
                 reliable, one_minus_rho = True, None
                 if ratio is not None:
-                    rho = max(ratio, Fraction(1)) / self.x
-                    reliable = rho < 1
-                    one_minus_rho = _to_mpf(1 - min(rho, _TAIL_RATIO_CAP), self.prec)
-                summed = _horner(root.ints, self.x.numerator, self._shift, self.powers(root.order))
+                    u, v = ratio[0] * q, ratio[1] * p
+                    reliable, one_minus_rho = u < v, _ONE_MINUS_CAPPED_RHO
+                    if 256 * u < 255 * v:  # rho below the cap
+                        r, prec = math.gcd(u, v), self.prec
+                        gap, whole = from_int((v - u) // r, prec, round_nearest), from_int(v // r, prec, round_nearest)
+                        one_minus_rho = mpf_div(gap, whole, prec, round_nearest)
+                opow = None if self._odd == 1 else self.powers(root.order)
+                summed = _horner(root.ints, p, self._shift, opow)
                 got = self._roots[id(root)] = (root, summed, reliable, one_minus_rho, {})
             value = got[4][num, div] = from_int(got[1] * num // div, self.prec, round_nearest)
         return value, got[2], got[3]
@@ -459,12 +476,12 @@ def series_eval(g: PowerSeriesInvX, x, prec: int = DEFAULT_PREC) -> EvalResult:
     ``prec`` and shared by several evaluations, which then share its
     powers, Horner sums and tail models.
     """
-    at = _point(x, prec)
-    constant, den, abs_last, ratio = g._eval_floats(prec)
+    at = x if type(x) is _Point and x.prec == prec else _point(x, prec)
+    constant, den, abs_last, ratio = g._floats.get(prec) or g._eval_floats(prec)
     if constant is not None:
         return EvalResult(_make_mpf(constant), _make_mpf(fzero), True)
     numerator, reliable, one_minus_rho = at.terms(g, ratio)
-    p_n, x_pow = at.floats(g.order)
+    p_n, x_pow = at._floats.get(g.order) or at.floats(g.order)
     value = mpf_div(numerator, mpf_mul(den, p_n, prec, round_nearest), prec, round_nearest)
     tail = fzero
     if one_minus_rho is not None:
@@ -485,11 +502,14 @@ def logseries_eval(parts: tuple[PowerSeriesInvX, ...], x, prec: int = DEFAULT_PR
         if not at.above_one and at.x <= 0:
             raise ValueError(f"ln(x) requires x > 0, got {at.x}")
         weights, abs_weights = at.ln_weights(len(parts) - 1)
-    r = series_eval(parts[0], at, prec)
-    # part 0's weight is ln(x)^0 = 1, and its value is already rounded to prec
-    value, tail, reliable = r.value._mpf_, r.tail_estimate._mpf_, r.tail_reliable
-    for j in range(1, len(parts)):
-        r = series_eval(parts[j], at, prec)
+    value, tail, reliable = fzero, fzero, True
+    for j, part in enumerate(parts):
+        if not any(part.ints):
+            continue  # adding an exact 0 to a sum already rounded to prec changes no bit
+        r = series_eval(part, at, prec)
+        if not j:  # part 0's weight is ln(x)^0 = 1, and its value is already rounded to prec
+            value, tail, reliable = r.value._mpf_, r.tail_estimate._mpf_, r.tail_reliable
+            continue
         value = mpf_add(value, mpf_mul(r.value._mpf_, weights[j], prec, round_nearest), prec, round_nearest)
         tail = mpf_add(tail, mpf_mul(r.tail_estimate._mpf_, abs_weights[j], prec, round_nearest), prec, round_nearest)
         reliable = reliable and r.tail_reliable

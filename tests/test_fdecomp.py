@@ -284,6 +284,22 @@ def test_each_q_series_is_evaluated_once_per_point(monkeypatch):
     assert len(calls) == 8  # Q_2..Q_9; Q_0 = 1 and Q_1 = 0 are constants
 
 
+def test_f_eval_goes_through_logseries_eval_to_series_eval(monkeypatch):
+    # BetaTable.eval -> _eval_j -> logseries_eval -> series_eval, one
+    # series_eval per nonzero part: part m - 1 of J^m, -Q_1 / (m - 1)! = 0,
+    # costs none, so J^1..J^9 make 45 calls, not 54
+    make_f_evaluator(9)
+    calls = []
+    for module, name in ((series, "series_eval"), (fdecomp, "logseries_eval")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
+    f_eval(9, 2.5)
+    assert (calls.count("series_eval"), calls.count("logseries_eval")) == (45, 9)
+    calls.clear()
+    f_eval(2, 1.5)  # J^2: Q_2 and 1/2; J^1: the constant 1
+    assert (calls.count("series_eval"), calls.count("logseries_eval")) == (3, 2)
+
+
 def test_each_beta_level_is_built_once(monkeypatch):
     # level n extends the cached level n - 1, so filling f_1..f_9 evaluates
     # J^m at x = n once for each 1 <= m <= n <= 9: 45 evaluations, not 165

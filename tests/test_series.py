@@ -288,11 +288,14 @@ def horner_cases(draw):
 @example(([-1, 0, 2**500] + [0] * 68 + [-7], 2**53 - 1, 1, 52))
 @example(([1] * 71, 22, 7, 0))
 def test_horner_is_the_naive_sum(case):
-    # the shifted ascending Horner against the definition, term by term
+    # the shifted ascending Horner against the definition, term by term; a
+    # float point's q is a power of two, and its branch takes no powers of odd
     ints, p, odd, shift = case
     q, order = odd << shift, len(ints) - 1
     naive = sum(c * p ** (order - k) * q**k for k, c in enumerate(ints))
     assert series._horner(ints, p, shift, [odd**k for k in range(order + 1)]) == naive
+    if odd == 1:
+        assert series._horner(ints, p, shift, None) == naive
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +411,30 @@ def test_tail_model_branch_by_branch(coeffs, x, reliable):
         rho = min(max(ratio, 1) / mpf(x), mpmath.mpf(255) / 256)
         want = last * mpf(x) ** -(len(coeffs) - 1) / (1 - rho)
         assert abs(r.tail_estimate - want) <= abs(want) * mpmath.mpf(10) ** -30
+
+
+@given(
+    st.fractions(min_value=F(1, 2**20), max_value=64, max_denominator=2**20),
+    st.one_of(
+        st.fractions(min_value=1, max_value=64, max_denominator=2**20),
+        st.floats(1, 64).map(F),
+    ),
+    st.sampled_from((24, 64, 128)),
+    st.booleans(),
+)
+@example(F(255, 128), F(2), 24, False)  # rho = 255/256: 256 u = 255 v, the cap itself
+@example(F(255, 128) + F(1, 2**20), F(2), 64, False)  # just above the cap
+@example(F(3, 2), F(3, 2), 128, False)  # u = v: rho = 1
+@example(F(1, 3), F(5, 2), 64, True)  # ratio < 1: rho = 1 / x
+@example(F(97, 40), F(23851993, 810670), 24, False)  # u, v share a factor 10 that rounding would see
+def test_tail_model_is_the_fraction_formula_bit_for_bit(ratio, x, prec, negative):
+    # the point's integer tail model against rho = max(ratio, 1) / x on Fractions
+    g = PowerSeriesInvX([0, 1, 1, -ratio if negative else ratio])
+    at = series._Point(x, prec)
+    _, reliable, one_minus_rho = at.terms(g, g._eval_floats(prec)[3])
+    rho = max(ratio, 1) / x
+    assert one_minus_rho == series._to_mpf(1 - min(rho, F(255, 256)), prec)
+    assert reliable is (rho < 1)
 
 
 @pytest.mark.parametrize("order", [16, 32, 64])
