@@ -20,6 +20,7 @@ suite asserts directly.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 
@@ -30,12 +31,15 @@ def compute_a_matrix(s: int) -> tuple[tuple[int, ...], ...]:
     if s < 0:
         raise ValueError(f"matrix size must be >= 0, got s={s}")
     rows: list[tuple[int, ...]] = [(1,)]
+    columns = [[1]]  # columns[j]: A[j][j], A[j+1][j], ... down the rows built so far
     for m in range(1, s + 1):
         weights = [math.comb(m, mu + 1) * math.perm(s - m + mu, mu) for mu in range(m)]
-        row = [0]
-        for j in range(1, m + 1):
-            row.append(sum(rows[m - mu - 1][j - 1] * weights[mu] for mu in range(m - j + 1)))
-        rows.append(tuple(row))
+        # A[m][j] pairs A[m-1-mu][j-1], column j-1 read upward, with weights[mu]
+        row = (0,) + tuple(sum(map(operator.mul, reversed(column), weights)) for column in columns)
+        for column, entry in zip(columns, row):
+            column.append(entry)
+        columns.append([row[m]])
+        rows.append(row)
     return tuple(rows)
 
 

@@ -23,7 +23,11 @@ starting from beta_0 = 1.  beta_1 = 0 falls out exactly since
 J[1](1) = ln(1) = 0 (the only evaluation at x = 1 the recurrence ever
 needs; everything else requires x > 1).  So the table of beta_0..beta_n
 is all that f_n's evaluator holds: ``make_f_evaluator(n)`` returns it,
-and ``BetaTable.eval`` sums the J-iterates at a point.
+and ``BetaTable.eval`` sums the J-iterates at a point.  Both skip a term
+whose beta_k and tail are exact zeros, so neither f_n nor beta_n
+evaluates J^{n-1}.  No bit moves: the term adds exact zeros to sums
+already rounded, and every series of J^{n-1} is one of J^n, evaluated
+first.
 
 How a point is evaluated.  Every part of every J-iterate is one of the
 same few series: part j of J^m is the scalar multiple (-1)^i Q_i / j! of
@@ -37,7 +41,9 @@ also computed once per point.  The float operations that follow are
 those of evaluating each part and iterate on its own, in the same order,
 so every value, tail estimate and reliability flag is what it was when
 every part ran its own Horner, at n - 1 Horners per point instead of
-n(n+3)/2.  They run on
+n(n+3)/2.  With the parts that are exactly zero (part m - 1 of J^m is
+-Q_1/(m-1)! = 0) and J^{n-1} left out, a point at level n >= 2 makes
+n(n+1)/2 - (n-1) ``series_eval`` calls: 37 at n = 9.  They run on
 ``mpmath.libmp`` tuples at the evaluator's precision, rounding to nearest
 as ``mpf`` arithmetic does, so the caller's ``mpmath.mp.prec`` changes no
 bit; only the returned ``EvalResult`` and ``BetaTable`` hold ``mpf``.
@@ -140,12 +146,15 @@ class BetaTable:
         value = tail = fzero
         reliable = True
         for k in range(n + 1):
+            beta, beta_tail = self.values[k]._mpf_, self.tails[k]._mpf_
+            if beta == fzero and beta_tail == fzero:
+                continue  # beta_1 = 0: no bit moves (see the module docstring)
             r = _eval_j(n - k, at, self.order, prec)
-            beta, rv = self.values[k]._mpf_, r.value._mpf_
+            rv = r.value._mpf_
             value = mpf_add(value, mpf_mul(beta, rv, prec, round_nearest), prec, round_nearest)
             spread = mpf_mul(mpf_abs(beta, prec, round_nearest), r.tail_estimate._mpf_, prec, round_nearest)
             tail = mpf_add(tail, spread, prec, round_nearest)
-            spread = mpf_mul(self.tails[k]._mpf_, mpf_abs(rv, prec, round_nearest), prec, round_nearest)
+            spread = mpf_mul(beta_tail, mpf_abs(rv, prec, round_nearest), prec, round_nearest)
             tail = mpf_add(tail, spread, prec, round_nearest)
             reliable = reliable and r.tail_reliable
         return EvalResult(_make_mpf(value), _make_mpf(tail), reliable)
@@ -171,11 +180,14 @@ def beta_table(n_max: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC)
     at = _Point(Fraction(n_max), prec)
     acc = acc_tail = fzero
     for k in range(n_max):
+        beta, beta_tail = lower.values[k]._mpf_, lower.tails[k]._mpf_
+        if beta == fzero and beta_tail == fzero:
+            continue  # beta_1 = 0: no bit moves (see the module docstring)
         r = _eval_j(n_max - k, at, order, prec)
-        beta, rv = lower.values[k]._mpf_, r.value._mpf_
+        rv = r.value._mpf_
         acc = mpf_add(acc, mpf_mul(beta, rv, prec, round_nearest), prec, round_nearest)
         spread = mpf_mul(mpf_abs(beta, prec, round_nearest), r.tail_estimate._mpf_, prec, round_nearest)
-        beta_spread = mpf_mul(lower.tails[k]._mpf_, mpf_abs(rv, prec, round_nearest), prec, round_nearest)
+        beta_spread = mpf_mul(beta_tail, mpf_abs(rv, prec, round_nearest), prec, round_nearest)
         acc_tail = mpf_add(acc_tail, mpf_add(spread, beta_spread, prec, round_nearest), prec, round_nearest)
     value = _make_mpf(mpf_neg(acc, prec, round_nearest))
     return BetaTable(lower.values + (value,), lower.tails + (_make_mpf(acc_tail),), order, prec)

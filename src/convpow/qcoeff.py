@@ -42,7 +42,8 @@ the ones below it bottom-up, each of which then finds its own lower
 levels cached, so no call recurses more than one level deep and deep
 levels need no deep stack.  The full recurrence also builds each
 S[Q_k] = Q_k - nabla[Q_k] (``shift_s``) once per (level, order) and
-reuses it at every higher level.
+reuses it at every higher level; S[Q_0] = 1 is never built, and neither
+S[Q_0] nor S[Q_1] = 0 enters a product.
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ def q_closed_form(n_plus_1: int, s: int) -> Fraction:
     if s < n:
         return Fraction(0)
     rows = compute_a_matrix(s)
+    binomials = [math.comb(s, sigma) for sigma in range(s + 1)]
     total = sum(
-        stirling1_unsigned(s - sigma, n - nu) * math.comb(s, sigma) * rows[sigma][nu]
+        stirling1_unsigned(s - sigma, n - nu) * binomials[sigma] * rows[sigma][nu]
         for nu in range(n)
         for sigma in range(nu, nu + s - n + 1)  # sigma >= nu: on or below the diagonal
     )
@@ -124,9 +126,12 @@ def log_expansion_q_list(n_max: int, order: int = DEFAULT_ORDER) -> tuple[PowerS
 
     Only level n_max is built here; the lower levels are the cached
     ``log_expansion_q_list(n_max - 1, order)``, requested bottom-up and
-    shared element by element, and S[Q_j] comes from ``_shifted``.  The bracket is assembled as
-    S[Q_k] - Q_k + sum_{j<k} S[Q_j] * li1_power(k-j), which is the one
-    above since S[Q_k] - Q_k = -nabla[Q_k].
+    shared element by element, and S[Q_j] comes from ``_shifted``.  The
+    bracket is assembled as li1_power(k) + S[Q_k] - Q_k + sum_{2<=j<k}
+    S[Q_j] * li1_power(k-j): S[Q_k] - Q_k = -nabla[Q_k], and the j = 0 and
+    j = 1 products, li1_power(k) and 0 (S[Q_1] = S[0] = 0), are not formed.
+    Lowest terms are unique, so the series are those of every product
+    formed, and the abscissa is still the max set by S[Q_k] - Q_k.
     """
     if n_max < 0:
         raise ValueError(f"log_expansion_q_list requires n_max >= 0, got {n_max}")
@@ -139,8 +144,8 @@ def log_expansion_q_list(n_max: int, order: int = DEFAULT_ORDER) -> tuple[PowerS
     if n_max == 1:
         return qs + (PowerSeriesInvX.zero(order),)  # Q_1 = 0 is initial data
     k = n_max - 1
-    bracket = _shifted(k, order) - qs[k]
-    for j in range(k):
+    bracket = li1_power(k, order) + _shifted(k, order) - qs[k]  # j = 0: S[Q_0] = 1; j = 1: S[Q_1] = 0
+    for j in range(2, k):
         bracket = bracket + _shifted(j, order) * li1_power(k - j, order)
     return qs + (harmonic_h(-bracket),)  # negated before H: Q_{k+1} is no multiple of a kept series
 

@@ -1,9 +1,13 @@
+import functools
 import hashlib
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_mul, mpf_neg, round_nearest
 
 from convpow import fdecomp, qcoeff, series
 from convpow.fdecomp import (
@@ -250,6 +254,69 @@ def test_f_values_frozen_at_odd_denominators():
     assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_ODD_SHA256
 
 
+# Reference for the skip of exact-zero terms: the evaluator and the beta
+# recurrence with every J^(n-k) evaluated and multiplied in, beta_1 = 0
+# included, in the same libmp operations and order.
+SKIP_SETTINGS = ((64, 128), (40, 96), (24, 53))
+
+
+def _every_term_f(table, y):
+    n, order, prec = len(table) - 1, table.order, table.prec
+    at = series._Point(series._exact(y) + n, prec)
+    value = tail = fzero
+    reliable = True
+    for k in range(n + 1):
+        r = _eval_j(n - k, at, order, prec)
+        beta, rv = table.values[k]._mpf_, r.value._mpf_
+        value = mpf_add(value, mpf_mul(beta, rv, prec, round_nearest), prec, round_nearest)
+        spread = mpf_mul(mpf_abs(beta, prec, round_nearest), r.tail_estimate._mpf_, prec, round_nearest)
+        tail = mpf_add(tail, spread, prec, round_nearest)
+        spread = mpf_mul(table.tails[k]._mpf_, mpf_abs(rv, prec, round_nearest), prec, round_nearest)
+        tail = mpf_add(tail, spread, prec, round_nearest)
+        reliable = reliable and r.tail_reliable
+    return value, tail, reliable
+
+
+@functools.lru_cache(maxsize=None)
+def _every_term_betas(n_max, order, prec):
+    values, tails = [fone], [fzero]
+    for n in range(1, n_max + 1):
+        at = series._Point(F(n), prec)
+        acc = acc_tail = fzero
+        for k in range(n):
+            r = _eval_j(n - k, at, order, prec)
+            beta, rv = values[k], r.value._mpf_
+            acc = mpf_add(acc, mpf_mul(beta, rv, prec, round_nearest), prec, round_nearest)
+            spread = mpf_mul(mpf_abs(beta, prec, round_nearest), r.tail_estimate._mpf_, prec, round_nearest)
+            beta_spread = mpf_mul(tails[k], mpf_abs(rv, prec, round_nearest), prec, round_nearest)
+            acc_tail = mpf_add(acc_tail, mpf_add(spread, beta_spread, prec, round_nearest), prec, round_nearest)
+        values.append(mpf_neg(acc, prec, round_nearest))
+        tails.append(acc_tail)
+    return tuple(values), tuple(tails)
+
+
+_ODD_DENOMINATOR_YS = st.integers(1, 25).flatmap(
+    lambda h: st.integers(0, 50 * (2 * h + 1)).map(lambda p: F(p, 2 * h + 1))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(0, 12),
+    y=st.floats(0, 50) | _ODD_DENOMINATOR_YS,
+    setting=st.sampled_from(SKIP_SETTINGS),
+)
+def test_skipping_exact_zero_terms_changes_no_bit(n, y, setting):
+    order, prec = setting
+    table = beta_table(n, order, prec)
+    values, tails = _every_term_betas(12, order, prec)
+    assert [v._mpf_ for v in table.values] == list(values[: n + 1])
+    assert [t._mpf_ for t in table.tails] == list(tails[: n + 1])
+    assert (values[0], tails[0], values[1], tails[1]) == (fone, fzero, fzero, fzero)
+    r = f_eval(n, y, order, prec)
+    assert (r.value._mpf_, r.tail_estimate._mpf_, r.tail_reliable) == _every_term_f(table, y)
+
+
 def _clear_table_caches():
     for module in (series, qcoeff, fdecomp):
         for fn in vars(module).values():
@@ -287,29 +354,31 @@ def test_each_q_series_is_evaluated_once_per_point(monkeypatch):
 def test_f_eval_goes_through_logseries_eval_to_series_eval(monkeypatch):
     # BetaTable.eval -> _eval_j -> logseries_eval -> series_eval, one
     # series_eval per nonzero part: part m - 1 of J^m, -Q_1 / (m - 1)! = 0,
-    # costs none, so J^1..J^9 make 45 calls, not 54
+    # costs none, and beta_1 = 0 exactly, so J^8 is not evaluated at all:
+    # J^9 and J^7..J^1 make 37 calls, not 54
     make_f_evaluator(9)
     calls = []
     for module, name in ((series, "series_eval"), (fdecomp, "logseries_eval")):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
     f_eval(9, 2.5)
-    assert (calls.count("series_eval"), calls.count("logseries_eval")) == (45, 9)
+    assert (calls.count("series_eval"), calls.count("logseries_eval")) == (37, 8)
     calls.clear()
-    f_eval(2, 1.5)  # J^2: Q_2 and 1/2; J^1: the constant 1
-    assert (calls.count("series_eval"), calls.count("logseries_eval")) == (3, 2)
+    f_eval(2, 1.5)  # J^2: Q_2 and 1/2; J^1 carries beta_1 = 0
+    assert (calls.count("series_eval"), calls.count("logseries_eval")) == (2, 1)
 
 
 def test_each_beta_level_is_built_once(monkeypatch):
     # level n extends the cached level n - 1, so filling f_1..f_9 evaluates
-    # J^m at x = n once for each 1 <= m <= n <= 9: 45 evaluations, not 165
+    # J^m at x = n once for each 1 <= m <= n <= 9 but m = n - 1, whose
+    # factor beta_1 is exactly 0: 37 evaluations, not 165
     beta_table.cache_clear()
     calls = []
     eval_j = fdecomp._eval_j
     monkeypatch.setattr(fdecomp, "_eval_j", lambda *args: calls.append(args) or eval_j(*args))
     for n in range(1, 10):
         make_f_evaluator(n)
-    assert len(calls) == 45
+    assert len(calls) == 37
 
 
 def test_pipeline_never_builds_the_fraction_view(monkeypatch):

@@ -198,7 +198,33 @@ def test_each_nabla_is_built_once(monkeypatch):
     monkeypatch.setattr(series, "backward_diff", counting)
     monkeypatch.setattr(qcoeff, "backward_diff", counting)
     log_expansion_q_list(10, 64)
-    assert len(calls) == 10  # nabla Q_0 .. nabla Q_9, once each
+    # nabla Q_1 .. nabla Q_9, once each; S[Q_0] = 1 is never built, since its
+    # product with li1_power(k) is li1_power(k) itself
+    assert len(calls) == 9
+
+
+def _literal_ladder(n_max, order):
+    # Q_{k+1} = -H[sum_{j=0}^{k-1} S[Q_j] * li1_power(k-j) - nabla[Q_k]], every
+    # product formed, S[Q_0] = 1 and S[Q_1] = 0 included
+    qs = [PowerSeriesInvX.constant(1, order), PowerSeriesInvX.zero(order)]
+    for k in range(1, n_max):
+        bracket = -backward_diff(qs[k])
+        for j in range(k):
+            bracket = bracket + shift_s(qs[j]) * li1_power(k - j, order)
+        qs.append(harmonic_h(-bracket))
+    return qs[: n_max + 1]
+
+
+@pytest.mark.parametrize("order", [16, 64])
+def test_ladder_matches_the_literal_recurrence(order):
+    # the ladder forms neither S[Q_0] * li1_power(k) nor S[Q_1] * li1_power(k-1)
+    want = _literal_ladder(12, order)
+    assert [q.conv_abscissa for q in want] == [1, 1] + list(range(2, 13))
+    for n in range(13):
+        got = log_expansion_q_list(n, order)
+        assert [(q.den, q.ints, q.conv_abscissa) for q in got] == [
+            (q.den, q.ints, q.conv_abscissa) for q in want[: n + 1]
+        ], n
 
 
 def test_log_expansion_coefficients_frozen():
