@@ -171,6 +171,7 @@ def _spread_check(results: dict, compare_tol: float, label: str) -> list[verify_
 
 def cmd_eval(args):
     params = ConvParams(args.lam, args.a)
+    paths = {}  # the oracle paths, by result key, run unless --skip-oracles
     if args.conv:
         # phi*n(x) three ways: transform of the exact series, direct nested
         # quadrature, transform of the iterated-integral oracle.
@@ -184,32 +185,37 @@ def cmd_eval(args):
             "quadrature": None,
             "reconstruction": None,
         }
-        if not args.skip_oracles:
-            if n <= DEFAULT_MAX_DEPTH:
-                results["quadrature"] = conv_power_quadrature(params, n, x, args.quad_tol)
-            y, factor = _normal_form(params, n, x)
-            results["reconstruction"] = factor * f_quadrature_oracle(n - 1, y, args.quad_tol)
-        return results, _spread_check(results, args.compare_tol, f"conv-paths-agree n={n} x={x}")
-
-    if args.n < 0:
-        raise ValueError(f"n must be >= 0, got {args.n}")
-    if args.y < 0:
-        raise ValueError(f"y must be >= 0, got {args.y}")
-    r = f_eval(args.n, args.y, args.order, args.precision)
-    results = {
-        "n": args.n,
-        "y": args.y,
-        "series": float(r.value),
-        "series_tail": float(r.tail_estimate),
-        "tail_reliable": r.tail_reliable,
-        "quadrature": None,
-        "reconstruction": None,
-    }
-    if not args.skip_oracles:
-        results["quadrature"] = f_quadrature_oracle(args.n, args.y, args.quad_tol)
+        if n <= DEFAULT_MAX_DEPTH:
+            paths["quadrature"] = lambda: conv_power_quadrature(params, n, x, args.quad_tol)
+        y, factor = _normal_form(params, n, x)
+        paths["reconstruction"] = lambda: factor * f_quadrature_oracle(n - 1, y, args.quad_tol)
+        label = f"conv-paths-agree n={n} x={x}"
+    else:
+        if args.n < 0:
+            raise ValueError(f"n must be >= 0, got {args.n}")
+        if args.y < 0:
+            raise ValueError(f"y must be >= 0, got {args.y}")
+        r = f_eval(args.n, args.y, args.order, args.precision)
+        results = {
+            "n": args.n,
+            "y": args.y,
+            "series": float(r.value),
+            "series_tail": float(r.tail_estimate),
+            "tail_reliable": r.tail_reliable,
+            "quadrature": None,
+            "reconstruction": None,
+        }
+        paths["quadrature"] = lambda: f_quadrature_oracle(args.n, args.y, args.quad_tol)
         if args.n + 1 <= DEFAULT_MAX_DEPTH:
-            results["reconstruction"] = f_from_conv(params, args.n + 1, args.y, args.quad_tol)
-    return results, _spread_check(results, args.compare_tol, f"paths-agree n={args.n} y={args.y}")
+            paths["reconstruction"] = lambda: f_from_conv(params, args.n + 1, args.y, args.quad_tol)
+        label = f"paths-agree n={args.n} y={args.y}"
+    checks = []
+    for key, path in () if args.skip_oracles else paths.items():
+        try:
+            results[key] = path()
+        except QuadratureError as exc:  # a stalled path reads null, and its check fails with why
+            checks.append(verify_mod.Check(f"{key}-oracle", False, str(exc)))
+    return results, checks + _spread_check(results, args.compare_tol, label)
 
 
 #: The flags each verify suite takes, and the suite keyword each one sets;

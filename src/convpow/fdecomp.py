@@ -14,39 +14,37 @@ with the pure series Q_j taken from the log-expansion family in `qcoeff`
 (the one satisfying the operator's derivative identity at every level;
 the short-recurrence family over there agrees with it only up to level
 3).  ``build_j_iterate(n)`` returns it as the tuple of its parts, part j
-the series (-1)^{n-j} Q_{n-j} / j! that multiplies ln(x)^j.  The beta
-constants are forced by f_n(0) = 0 for n >= 1, which triangularly determines
+the series (-1)^{n-j} Q_{n-j} / j! that multiplies ln(x)^j; with
+``_eval_j`` it is the iterate-by-iterate reference the tests hold f_n to.
 
-    beta_n = -sum_{k=0}^{n-1} beta_k * J^{n-k}[1](n),
+The evaluator sums the iterates before it evaluates them:
+G_n = sum_{k<n} beta_k * J^{n-k}[1] is one polynomial in ln(x) whose parts
+are exact rational series, each beta_k entering as the dyadic rational its
+float is.  Part j >= 1 is P_{n-j} / j!, with P_m = sum_{i=0}^{m} (-1)^i
+beta_{m-i} Q_i, and part 0 is P_n without its term beta_n.  The beta
+constants are forced by f_n(0) = 0 for n >= 1:
 
-starting from beta_0 = 1.  beta_1 = 0 falls out exactly since
-J[1](1) = ln(1) = 0 (the only evaluation at x = 1 the recurrence ever
-needs; everything else requires x > 1).  So the table of beta_0..beta_n
-is all that f_n's evaluator holds: ``make_f_evaluator(n)`` returns it,
-and ``BetaTable.eval`` sums the J-iterates at a point.  Both skip a term
-whose beta_k and tail are exact zeros, so neither f_n nor beta_n
-evaluates J^{n-1}.  No bit moves: the term adds exact zeros to sums
-already rounded, and every series of J^{n-1} is one of J^n, evaluated
-first.
+    beta_n = -G_n(n),    f_n(y) = G_n(y + n) + beta_n,
 
-How a point is evaluated.  Every part of every J-iterate is one of the
-same few series: part j of J^m is the scalar multiple (-1)^i Q_i / j! of
-Q_i, with i = m - j, and remembers that it is.  ``beta_table`` and
-``BetaTable.eval`` evaluate J^0..J^n at one point x = p/q through one
-``series._Point`` prepared at their precision: each non-constant Q_i runs
-one exact integer Horner there, and every part's Horner sum is Q_i's,
-multiplied and divided exactly by the integers of its scale.  The powers
-of q's odd part, p^N, x^(-N), ln x and its powers and each tail model are
-also computed once per point.  The float operations that follow are
-those of evaluating each part and iterate on its own, in the same order,
-so every value, tail estimate and reliability flag is what it was when
-every part ran its own Horner, at n - 1 Horners per point instead of
-n(n+3)/2.  With the parts that are exactly zero (part m - 1 of J^m is
--Q_1/(m-1)! = 0) and J^{n-1} left out, a point at level n >= 2 makes
-n(n+1)/2 - (n-1) ``series_eval`` calls: 37 at n = 9.  They run on
-``mpmath.libmp`` tuples at the evaluator's precision, rounding to nearest
-as ``mpf`` arithmetic does, so the caller's ``mpmath.mp.prec`` changes no
-bit; only the returned ``EvalResult`` and ``BetaTable`` hold ``mpf``.
+from beta_0 = 1; beta_1 = 0 exactly, as G_1 = ln(x) vanishes at x = 1 (the
+one evaluation at x = 1; everything else requires x > 1).  f_n(0) replays
+the operations that gave beta_n, so it is exactly 0.  ``beta_table(n)``
+forms G_n from G_{n-1}: part 0, sum_{i=2}^{n} (-1)^i beta_{n-i} Q_i
+(Q_1 = 0), in one integer pass over a common denominator; part 1,
+G_{n-1}'s part 0 plus beta_{n-1}; part j >= 2, G_{n-1}'s part j - 1 over
+j.  Its table is f_n's evaluator (``make_f_evaluator``).  A point at level
+n >= 2 makes one ``logseries_eval`` of G_n: n - 1 exact Horners (parts
+0..n-2 hold Q_2..Q_n; part n - 1, P_1 = beta_1 - Q_1, is 0) and n
+``series_eval`` calls, 9 at n = 9.  The floats are ``mpmath.libmp``
+tuples at the evaluator's precision, rounded to nearest as ``mpf``
+arithmetic does, so the caller's ``mpmath.mp.prec`` changes no bit.
+
+Tails: each part of G_n carries its geometric tail model (see `series`),
+and what the tails of beta_0..beta_{n-1} carry into f_n at x >= n is
+bounded by sum_j |ln x|^j b_j, b_j = (1/j!) sum_{k<n} tail(beta_k)
+|Q_{n-k-j}|(n), since |Q|(x), Q with absolute coefficients, falls as x
+grows.  tail(beta_n) is G_n's tail at x = n with that term; f_n's adds
+tail(beta_n).
 
 Everything here is evaluated, not symbolic: beta values are mpmath floats
 carrying accumulated truncation-tail estimates, and the residual helpers
@@ -57,11 +55,12 @@ evaluated f_n satisfy the defining integral/differential identities.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_mul, mpf_neg, round_nearest
+from mpmath.libmp import fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sum, round_nearest, to_rational
 
 from .qcoeff import log_expansion_q_list
 from .quadrature import adaptive_quad
@@ -71,6 +70,7 @@ from .series import (
     EvalResult,
     PowerSeriesInvX,
     _exact,
+    _horner,
     _make_mpf,
     _point,
     _Point,
@@ -88,9 +88,7 @@ def build_j_iterate(n: int, order: int = DEFAULT_ORDER) -> tuple[PowerSeriesInvX
     ln-polynomial's parts: part j, the coefficient of ln(x)^j, is
     (-1)^{n-j} Q_{n-j} / j!.
 
-    Each part is a scalar multiple of its Q-series, so the parts of all
-    iterates evaluated at one point share that series' Horner sum.  Uses
-    :func:`convpow.qcoeff.log_expansion_q_list` (the full-recurrence
+    Uses :func:`convpow.qcoeff.log_expansion_q_list` (the full-recurrence
     family), which is the one consistent with the operator's derivative
     identity at every level; see the `qcoeff` module docstring.
     """
@@ -101,7 +99,7 @@ def build_j_iterate(n: int, order: int = DEFAULT_ORDER) -> tuple[PowerSeriesInvX
 
 
 def _eval_j(m: int, x, order: int, prec: int) -> EvalResult:
-    """Evaluate J^m[1] at x, a number or the ``_Point`` the other iterates at
+    """Evaluate J^m[1] at x, a number or a ``_Point`` the other iterates at
     that point share.  J^1 also takes x = 1, where it is exactly ln 1 = 0."""
     if m == 0:
         return EvalResult(_make_mpf(fone), _make_mpf(fzero), True)
@@ -118,16 +116,20 @@ class BetaTable:
 
     ``tails[k]`` accumulates, linearly, the truncation-tail estimates of
     every series evaluation that entered beta_k; beta_0 and beta_1 are
-    exact (1 and 0).
+    exact (1 and 0).  The table also holds G_n as the tuple of its exact
+    ln-parts and the weights b_j of the tail the beta_k carry into f_n
+    (see the module docstring).
     """
 
-    __slots__ = ("values", "tails", "order", "prec")
+    __slots__ = ("values", "tails", "order", "prec", "_g", "_b")
 
-    def __init__(self, values: tuple[mpmath.mpf, ...], tails: tuple[mpmath.mpf, ...], order: int, prec: int):
+    def __init__(self, values: tuple, tails: tuple, order: int, prec: int, g: tuple, b: tuple):
         self.values = values
         self.tails = tails
         self.order = order
         self.prec = prec
+        self._g = g
+        self._b = b
 
     def __len__(self) -> int:
         return len(self.values)
@@ -136,65 +138,80 @@ class BetaTable:
         return self.values[k]
 
     def eval(self, y) -> EvalResult:
-        """f_n(y) for y >= 0, n = len(self) - 1; f_n(0) = 0 for n >= 1 by construction."""
+        """f_n(y) = G_n(y + n) + beta_n for y >= 0, n = len(self) - 1;
+        f_n(0) = 0 for n >= 1 by construction."""
         yf = _exact(y)
         if yf < 0:
             raise ValueError(f"f is only defined for y >= 0, got y={yf}")
-        n = len(self.values) - 1
-        at = _Point(yf + n, self.prec)
-        prec = self.prec
-        value = tail = fzero
-        reliable = True
-        for k in range(n + 1):
-            beta, beta_tail = self.values[k]._mpf_, self.tails[k]._mpf_
-            if beta == fzero and beta_tail == fzero:
-                continue  # beta_1 = 0: no bit moves (see the module docstring)
-            r = _eval_j(n - k, at, self.order, prec)
-            rv = r.value._mpf_
-            value = mpf_add(value, mpf_mul(beta, rv, prec, round_nearest), prec, round_nearest)
-            spread = mpf_mul(mpf_abs(beta, prec, round_nearest), r.tail_estimate._mpf_, prec, round_nearest)
-            tail = mpf_add(tail, spread, prec, round_nearest)
-            spread = mpf_mul(beta_tail, mpf_abs(rv, prec, round_nearest), prec, round_nearest)
-            tail = mpf_add(tail, spread, prec, round_nearest)
-            reliable = reliable and r.tail_reliable
+        n, prec = len(self.values) - 1, self.prec
+        value, tail, reliable = _g_at(self._g, self._b, _Point(yf + n, prec))
+        value = mpf_add(value, self.values[n]._mpf_, prec, round_nearest)
+        tail = mpf_add(tail, self.tails[n]._mpf_, prec, round_nearest)
         return EvalResult(_make_mpf(value), _make_mpf(tail), reliable)
+
+
+def _g_at(g: tuple[PowerSeriesInvX, ...], b: tuple, at: _Point) -> tuple:
+    """(value, tail, reliable) of G_n at x, the tail with the beta_k's term
+    sum_j |ln x|^j b_j added, the floats as ``_mpf_`` tuples."""
+    r = logseries_eval(g, at, at.prec)
+    prec, tail = at.prec, r.tail_estimate._mpf_
+    if b:  # empty for f_0, whose x = y may be 0, and f_1
+        for weight, bj in zip(at.ln_weights(len(b) - 1)[1], b):
+            tail = mpf_add(tail, mpf_mul(weight, bj, prec, round_nearest), prec, round_nearest)
+    return r.value._mpf_, tail, r.tail_reliable
+
+
+def _combination(terms) -> PowerSeriesInvX:
+    """sum c * g over the pairs (g, c) of series and rational factors, in
+    one integer pass over the common denominator of the terms."""
+    den = math.lcm(*(g.den * c.denominator for g, c in terms))
+    weights = [c.numerator * (den // (g.den * c.denominator)) for g, c in terms]
+    ints = [sum(map(operator.mul, weights, column)) for column in zip(*(g.ints for g, _ in terms))]
+    return PowerSeriesInvX._from_scaled(den, ints, max(g.conv_abscissa for g, _ in terms))
+
+
+def _abs_sum(q: PowerSeriesInvX, n: int, prec: int) -> tuple:
+    """|Q|(n), the series with absolute coefficients at the integer n, as an ``_mpf_``."""
+    num = _horner([abs(c) for c in q.ints], n, 0, None)
+    return mpf_div(from_int(num), from_int(q.den * n**q.order), prec, round_nearest)
 
 
 @lru_cache(maxsize=None)
 def beta_table(n_max: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC) -> BetaTable:
-    """Compute beta_0..beta_{n_max} by the triangular recurrence.
+    """Compute beta_0..beta_{n_max} by the triangular recurrence
+    beta_n = -G_n(n).
 
-    Level n_max extends the cached table of level n_max - 1 by one row, so
-    filling levels 1..n evaluates each J-iterate at each integer point once.
-    The lower levels are requested bottom-up, so a cold call recurses one
-    level at most.  Its tails sum as acc + (spread + beta spread), and
-    ``BetaTable.eval``'s as (acc + spread) + beta spread: each keeps its bits.
+    Level n_max extends the cached table of level n_max - 1 by one row: it
+    forms G_{n_max} from G_{n_max - 1} and one new part 0 (see the module
+    docstring), and evaluates it at x = n_max once.  The lower levels are
+    requested bottom-up, so a cold call recurses one level at most.
     """
     if n_max < 0:
         raise ValueError(f"beta index must be >= 0, got {n_max}")
     if n_max == 0:
-        return BetaTable((mpmath.mpf(1),), (mpmath.mpf(0),), order, prec)
+        return BetaTable((mpmath.mpf(1),), (mpmath.mpf(0),), order, prec, (PowerSeriesInvX.zero(order),), ())
     # positional, as make_f_evaluator passes them: lru_cache keys on the arguments as given
     for k in range(n_max):
         lower = beta_table(k, order, prec)
-    at = _Point(Fraction(n_max), prec)
-    acc = acc_tail = fzero
-    for k in range(n_max):
-        beta, beta_tail = lower.values[k]._mpf_, lower.tails[k]._mpf_
-        if beta == fzero and beta_tail == fzero:
-            continue  # beta_1 = 0: no bit moves (see the module docstring)
-        r = _eval_j(n_max - k, at, order, prec)
-        rv = r.value._mpf_
-        acc = mpf_add(acc, mpf_mul(beta, rv, prec, round_nearest), prec, round_nearest)
-        spread = mpf_mul(mpf_abs(beta, prec, round_nearest), r.tail_estimate._mpf_, prec, round_nearest)
-        beta_spread = mpf_mul(beta_tail, mpf_abs(rv, prec, round_nearest), prec, round_nearest)
-        acc_tail = mpf_add(acc_tail, mpf_add(spread, beta_spread, prec, round_nearest), prec, round_nearest)
-    value = _make_mpf(mpf_neg(acc, prec, round_nearest))
-    return BetaTable(lower.values + (value,), lower.tails + (_make_mpf(acc_tail),), order, prec)
+    n, qs, betas, tails = n_max, log_expansion_q_list(n_max, order), lower.values, lower.tails
+    exact = [Fraction(*to_rational(beta._mpf_)) for beta in betas]
+    # part 0: sum_{i=2}^{n} (-1)^i beta_{n-i} Q_i (Q_1 = 0); part 1: part 0 of G_{n-1} plus beta_{n-1}
+    leading = [(qs[i], exact[n - i] * (-1) ** i) for i in range(2, n + 1) if exact[n - i]]
+    g = (
+        _combination(leading) if leading else PowerSeriesInvX.zero(order),
+        _combination([(lower._g[0], Fraction(1)), (qs[0], exact[n - 1])]),
+    ) + tuple(part * Fraction(1, j) for j, part in enumerate(lower._g[1:], 2))
+    # b_j = (1/j!) sum_{2 <= k < n} tail(beta_k) |Q_{n-k-j}|(n) for j <= n - 2, each product exact
+    abs_q = [fone, fzero] + [_abs_sum(q, n, prec) for q in qs[2 : n - 1]]  # |Q_0| = 1, |Q_1| = 0
+    sums = [mpf_sum([mpf_mul(tails[k]._mpf_, abs_q[n - k - j]) for k in range(2, min(n, n - j + 1))]) for j in range(n - 1)]
+    b = tuple(mpf_div(acc, from_int(math.factorial(j)), prec, round_nearest) for j, acc in enumerate(sums))
+    value, tail, _ = _g_at(g, b, _Point(Fraction(n), prec))
+    value, tail = _make_mpf(mpf_neg(value, prec, round_nearest)), _make_mpf(tail)
+    return BetaTable(betas + (value,), tails + (tail,), order, prec, g, b)
 
 
 def make_f_evaluator(n: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC) -> BetaTable:
-    """f_n's evaluator: its cached beta table, whose ``eval`` sums the J-iterates."""
+    """f_n's evaluator: its cached beta table, whose ``eval`` evaluates G_n."""
     if n < 0:
         raise ValueError(f"f index must be >= 0, got n={n}")
     return beta_table(n, order, prec)

@@ -147,7 +147,7 @@ def log_expansion_q_list(n_max: int, order: int = DEFAULT_ORDER) -> tuple[PowerS
     bracket = li1_power(k, order) + _shifted(k, order) - qs[k]  # j = 0: S[Q_0] = 1; j = 1: S[Q_1] = 0
     for j in range(2, k):
         bracket = bracket + _shifted(j, order) * li1_power(k - j, order)
-    return qs + (harmonic_h(-bracket),)  # negated before H: Q_{k+1} is no multiple of a kept series
+    return qs + (harmonic_h(-bracket),)
 
 
 @lru_cache(maxsize=None)

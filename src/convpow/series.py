@@ -45,13 +45,9 @@ step or a context switch; the caller's ``mpmath.mp.prec`` is neither read
 nor changed.  Only the ``EvalResult`` fields are ``mpf``.
 
 ``series_eval`` and ``logseries_eval`` take a number or a point prepared
-at their precision (``_Point``) that several evaluations share.  A series
-made by negation or a scalar product remembers the series it multiplies
-(its root), and at a shared point all multiples of one root cost one exact
-Horner (``_horner``): a multiple's sum is the root's times an exact integer
-ratio, so the float that follows is the one its own Horner would give.  The f_n evaluator in
-`fdecomp` evaluates all J-iterates at a point this way, since every part of
-every iterate is a multiple of one Q-series.
+at their precision (``_Point``) that several evaluations share: the parts
+of one polynomial in ln(x) share the point's powers and ln(x), and each
+part runs its own exact Horner (``_horner``).
 """
 
 from __future__ import annotations
@@ -116,7 +112,7 @@ class PowerSeriesInvX:
     one, products and sums take the max); equality ignores it.
     """
 
-    __slots__ = ("den", "ints", "conv_abscissa", "_multiple", "_floats")
+    __slots__ = ("den", "ints", "conv_abscissa", "_floats")
 
     def __init__(self, coeffs: Iterable[Rational], conv_abscissa: Rational = 1):
         fracs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
@@ -127,23 +123,18 @@ class PowerSeriesInvX:
             raise ValueError(f"conv_abscissa must be >= 1, got {self.conv_abscissa}")
         self.den = math.lcm(*(c.denominator for c in fracs))
         self.ints = tuple(c.numerator * (self.den // c.denominator) for c in fracs)
-        self._multiple = None  # (root, num, div): ints are root's * num / div
         self._floats = {}  # {prec: what evaluation needs at prec}, filled on use
 
     @classmethod
-    def _from_scaled(cls, den: int, ints, conv_abscissa: Fraction, multiple=None) -> "PowerSeriesInvX":
+    def _from_scaled(cls, den: int, ints, conv_abscissa: Fraction, g: int | None = None) -> "PowerSeriesInvX":
         """The series with coefficients ints[k] / den, brought to lowest
-        terms by dividing out the gcd of den and every ints[k].
-
-        ``multiple`` = (root, num, div) says that ints are root's integers
-        times num / div.
-        """
-        g = math.gcd(den, *ints)
+        terms by dividing out g, the gcd of den and every ints[k], which is
+        computed unless the caller knows it."""
+        g = math.gcd(den, *ints) if g is None else g
         self = cls.__new__(cls)
         self.den = den // g
         self.ints = tuple(c // g for c in ints) if g > 1 else tuple(ints)
         self.conv_abscissa = conv_abscissa
-        self._multiple = None if multiple is None else (multiple[0], multiple[1], multiple[2] * g)
         self._floats = {}
         return self
 
@@ -228,12 +219,12 @@ class PowerSeriesInvX:
             abscissa = max(self.conv_abscissa, other.conv_abscissa)
             return PowerSeriesInvX._from_scaled(self.den * other.den, prod, abscissa)
         if isinstance(other, (int, Fraction)):
-            num = other.numerator
-            root, root_num, div = self._multiple or (self, 1, 1)
-            ints = [x * num for x in self.ints]
-            return PowerSeriesInvX._from_scaled(
-                self.den * other.denominator, ints, self.conv_abscissa, (root, root_num * num, div)
-            )
+            # self is in lowest terms, so the factor common to den * div and
+            # every ints[k] * num is gcd(den, num) * gcd(div, ints[0], ...)
+            g, h = math.gcd(self.den, other.numerator), math.gcd(other.denominator, *self.ints)
+            num, div = other.numerator // g, other.denominator // h
+            ints = [x // h * num for x in self.ints] if h > 1 or num != 1 else self.ints
+            return PowerSeriesInvX._from_scaled(self.den // g * div, ints, self.conv_abscissa, 1)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -369,19 +360,11 @@ class _Point:
     It keeps q = odd * 2^shift, the powers of odd (none for a float
     point, where odd = 1), whether x > 1 (the one range test of the
     J-iterates and of ln x) and, as ``_mpf_`` tuples at its precision, x
-    itself, p^N and x^(-N) per order N and the powers of ln x.  It also
-    keeps one record per root (the series every scalar multiple of it
-    points to): the root's exact Horner sum, its reliability flag, 1 - rho,
-    and the float of each scaled sum asked for.  So the range check, the
-    Horner sum and the tail model are computed once per root, all three on
-    integers; a multiple's sum is the root's times num / div, exactly, and
-    its tail ratio is the root's.  The parts of the J-iterates that one
-    Q-series makes, (-1)^i Q_i / j!, share one scale: j! enters their
-    denominator, not num / div, so their sum is converted once.  A point
+    itself, p^N and x^(-N) per order N and the powers of ln x.  A point
     lives for one evaluation; nothing is kept beyond it.
     """
 
-    __slots__ = ("x", "prec", "above_one", "_shift", "_odd", "_opow", "_mpf", "_floats", "_weights", "_roots")
+    __slots__ = ("x", "prec", "above_one", "_shift", "_odd", "_opow", "_mpf", "_floats", "_weights")
 
     def __init__(self, xf: Fraction, prec: int):
         self.x = xf
@@ -394,7 +377,6 @@ class _Point:
         self._mpf = _to_mpf(xf, prec)
         self._floats = {}  # N -> (p^N, x^(-N))
         self._weights = None  # ([ln(x)^j], [|ln(x)|^j], ln(x))
-        self._roots = {}  # id(root) -> (root, exact Horner sum, reliable, 1 - rho, {(num, div): sum})
 
     def powers(self, n: int) -> list[int]:
         opow = self._opow
@@ -424,37 +406,28 @@ class _Point:
         """(g's exact Horner sum, reliable, 1 - rho), the floats as
         ``_mpf_`` tuples at the point's precision.
 
-        The root is range-checked against its convergence abscissa, which
-        its scalar multiples share.  The tail model: rho = (a/b) / x with
-        (a, b) = ratio decays when rho < 1 (the reliability flag), and rho
-        is capped at 255/256 before 1 - rho is converted; the tail estimate
-        is then |a_N| * x^(-N) / (1 - rho).  It runs on integers: with
-        x = p/q, rho = u/v for u = a*q and v = b*p, and uncapped 1 - rho is
-        (v - u)/v, converted in lowest terms as ``_to_mpf`` converts the
-        Fraction.  With no ratio (a_N = 0) there is no tail, and 1 - rho is
-        None.
+        g is range-checked against its convergence abscissa.  The tail
+        model: rho = (a/b) / x with (a, b) = ratio decays when rho < 1 (the
+        reliability flag), and rho is capped at 255/256 before 1 - rho is
+        converted; the tail estimate is then |a_N| * x^(-N) / (1 - rho).  It
+        runs on integers: with x = p/q, rho = u/v for u = a*q and v = b*p,
+        and uncapped 1 - rho is (v - u)/v, converted in lowest terms as
+        ``_to_mpf`` converts the Fraction.  With no ratio (a_N = 0) there is
+        no tail, and 1 - rho is None.
         """
-        root, num, div = g._multiple or (g, 1, 1)
-        got = self._roots.get(id(root))
-        value = None if got is None else got[4].get((num, div))
-        if value is None:
-            if got is None:
-                p, q, abscissa = self.x.numerator, self.x.denominator, root.conv_abscissa
-                if p * abscissa.denominator < abscissa.numerator * q:
-                    raise ValueError(f"evaluation point {self.x} is below the convergence abscissa {abscissa}")
-                reliable, one_minus_rho = True, None
-                if ratio is not None:
-                    u, v = ratio[0] * q, ratio[1] * p
-                    reliable, one_minus_rho = u < v, _ONE_MINUS_CAPPED_RHO
-                    if 256 * u < 255 * v:  # rho below the cap
-                        r, prec = math.gcd(u, v), self.prec
-                        gap, whole = from_int((v - u) // r, prec, round_nearest), from_int(v // r, prec, round_nearest)
-                        one_minus_rho = mpf_div(gap, whole, prec, round_nearest)
-                opow = None if self._odd == 1 else self.powers(root.order)
-                summed = _horner(root.ints, p, self._shift, opow)
-                got = self._roots[id(root)] = (root, summed, reliable, one_minus_rho, {})
-            value = got[4][num, div] = from_int(got[1] * num // div, self.prec, round_nearest)
-        return value, got[2], got[3]
+        p, q, abscissa, prec = self.x.numerator, self.x.denominator, g.conv_abscissa, self.prec
+        if p * abscissa.denominator < abscissa.numerator * q:
+            raise ValueError(f"evaluation point {self.x} is below the convergence abscissa {abscissa}")
+        reliable, one_minus_rho = True, None
+        if ratio is not None:
+            u, v = ratio[0] * q, ratio[1] * p
+            reliable, one_minus_rho = u < v, _ONE_MINUS_CAPPED_RHO
+            if 256 * u < 255 * v:  # rho below the cap
+                r = math.gcd(u, v)
+                gap, whole = from_int((v - u) // r, prec, round_nearest), from_int(v // r, prec, round_nearest)
+                one_minus_rho = mpf_div(gap, whole, prec, round_nearest)
+        opow = None if self._odd == 1 else self.powers(g.order)
+        return from_int(_horner(g.ints, p, self._shift, opow), prec, round_nearest), reliable, one_minus_rho
 
 
 def _point(x, prec: int) -> _Point:
@@ -473,8 +446,7 @@ def series_eval(g: PowerSeriesInvX, x, prec: int = DEFAULT_PREC) -> EvalResult:
     precision ``prec``.  Constant series evaluate anywhere (the point is not
     even range-checked, matching the convention that degree-0 data has no
     singularity).  Inside the package x may also be a ``_Point`` prepared at
-    ``prec`` and shared by several evaluations, which then share its
-    powers, Horner sums and tail models.
+    ``prec`` and shared by several evaluations, which then share its powers.
     """
     at = x if type(x) is _Point and x.prec == prec else _point(x, prec)
     constant, den, abs_last, ratio = g._floats.get(prec) or g._eval_floats(prec)
@@ -492,8 +464,8 @@ def series_eval(g: PowerSeriesInvX, x, prec: int = DEFAULT_PREC) -> EvalResult:
 def logseries_eval(parts: tuple[PowerSeriesInvX, ...], x, prec: int = DEFAULT_PREC) -> EvalResult:
     """Evaluate sum_j parts[j] * ln(x)^j; tails of the parts combine with |ln x|^j weights.
 
-    x may be a ``_Point`` as in ``series_eval``; the J-iterates of one f_n
-    value share one, so each Q-series is summed once per point.
+    x may be a ``_Point`` as in ``series_eval``, whose ln(x) and powers
+    the caller shares.
     """
     if not parts:
         raise ValueError("a polynomial in ln(x) needs at least its ln-degree-0 part")

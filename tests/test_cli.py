@@ -166,6 +166,25 @@ def test_eval_conv_mode(capsys):
     assert r["x"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "argv, stalled",
+    [
+        (["eval", "4", "1e4"], "quadrature"),  # n + 1 = 5 has no reconstruction path
+        (["eval", "--conv", "2", "1e20"], "reconstruction"),
+    ],
+)
+def test_oracle_stall_is_a_failed_check(capsys, argv, stalled):
+    # the stalled path reads null and one failed check carries why; the
+    # series value stands, and the exit status is that of a failed check
+    rc, payload = run_json(capsys, argv)
+    assert rc == 1
+    r = payload["results"]
+    assert math.isfinite(r["series"]) and r[stalled] is None
+    failed = [c for c in payload["checks"] if not c["ok"]]
+    assert len(failed) == 1 and failed[0]["name"] == f"{stalled}-oracle"
+    assert "grid refinement stalled" in failed[0]["detail"]
+
+
 def test_eval_domain_error(capsys):
     assert cli.main(["eval", "-1", "1"]) == 2
     assert "n must be" in capsys.readouterr().err
@@ -354,8 +373,8 @@ def test_readme_lists_every_flag_of_every_subcommand():
 
 # The acceptance commands of the bit-for-bit changes, and a sha256 over
 # "$ <command> -> <exit status>" plus each one's output, JSON re-dumped
-# without elapsed_ms, as the CLI printed them before BetaTable took over
-# FEvaluator's evaluation and compute_a_matrix returned bare rows.
+# without elapsed_ms, as the CLI printed them once f_n and beta came from
+# G_n's exact ln-parts (only the tails moved in these digits).
 FROZEN_COMMANDS = (
     "eval 4 2.5",
     "eval 10 0.25",
@@ -372,7 +391,7 @@ FROZEN_COMMANDS = (
     "eval --conv 8 12 --lam 1 --a 0.5",
     "verify all",
 )
-FROZEN_OUTPUT_SHA256 = "a8b3cfd7127ed108ecca1ecad921df85efe6b0cd4eafde15fed65d06c1a639bb"
+FROZEN_OUTPUT_SHA256 = "e8f6e085e0a1ae0943d70651c8f62c3e0b94bd66c98a0c1fac7e75aa6bf59b40"
 
 
 def test_cli_output_frozen(capsys):

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_mul, mpf_neg, round_nearest
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_mul, mpf_neg, round_nearest, to_rational
 
 from convpow import fdecomp, qcoeff, series
 from convpow.fdecomp import (
@@ -20,7 +20,7 @@ from convpow.fdecomp import (
     make_f_evaluator,
     reflection_residual,
 )
-from convpow.series import PowerSeriesInvX, logseries_eval
+from convpow.series import PowerSeriesInvX
 
 F = Fraction
 
@@ -77,21 +77,6 @@ def test_j_eval_domain():
         build_j_iterate(-1, 8)
 
 
-def test_iterates_at_a_shared_point_match_each_part_on_its_own():
-    # J^6..J^1 through one point (each Q_i summed once, every part rescaled
-    # from it) give the floats of every part running its own Horner
-    for order, prec in ((64, 128), (24, 80)):
-        for x in (F(13, 2), 10.1, 1e6):
-            at = series._Point(F(x), prec)
-            for m in range(6, 0, -1):
-                got = _eval_j(m, at, order, prec)
-                parts = tuple(PowerSeriesInvX(p.coeffs, p.conv_abscissa) for p in build_j_iterate(m, order))
-                want = logseries_eval(parts, F(x), prec)
-                assert got.value._mpf_ == want.value._mpf_, (order, m, x)
-                assert got.tail_estimate._mpf_ == want.tail_estimate._mpf_, (order, m, x)
-                assert got.tail_reliable == want.tail_reliable
-
-
 # ---------------------------------------------------------------------------
 # beta coefficients
 
@@ -145,6 +130,19 @@ def test_beta_independent_of_truncation():
         assert abs(float(lo.values[n] - hi.values[n])) <= budget, n
 
 
+def test_beta_tails_cover_the_zeta_route():
+    # k beta_k = sum_{j=2}^{k} (-1)^(j+1) zeta(j) beta_(k-j), from
+    # B(eps) = exp(-gamma eps) / Gamma(1 + eps), a route that shares no
+    # series with the table: each beta_k within its own tail estimate
+    table = beta_table(12, 64, 128)
+    with mpmath.workdps(60):
+        want = [mpmath.mpf(1), mpmath.mpf(0)]
+        for k in range(2, 13):
+            want.append(sum((-1) ** (j + 1) * mpmath.zeta(j) * want[k - j] for j in range(2, k + 1)) / k)
+        for k in range(13):
+            assert abs(table.values[k] - want[k]) <= table.tails[k], k
+
+
 def test_beta_table_shape_and_validation():
     t = beta_table(3)
     assert len(t) == 4
@@ -189,6 +187,16 @@ def test_f2_closed_form():
             assert abs(r.value - want) <= float(r.tail_estimate) + 1e-25
 
 
+def test_f_independent_of_truncation():
+    # a longer truncation at a higher precision moves f_n by no more than
+    # the two tail estimates together
+    for n in (2, 5, 9, 12):
+        for y in (0.25, 1, 5, 20):
+            lo, hi = f_eval(n, y, 64, 128), f_eval(n, y, 96, 192)
+            with mpmath.workprec(256):
+                assert abs(lo.value - hi.value) <= lo.tail_estimate + hi.tail_estimate, (n, y)
+
+
 def test_f_eval_validation():
     with pytest.raises(ValueError):
         f_eval(2, -0.5)
@@ -207,12 +215,13 @@ def test_evaluator_is_reusable():
 # f_n(y) for n = 0..10 at two (order, prec) settings, each line the exact
 # mantissa and exponent (mpf._mpf_) of value and tail plus the flag; repr at
 # mpmath's default 53 bits would hide the low bits.  Frozen from the
-# evaluator that ran every J-iterate part as its own series_eval.
+# evaluator that sums G_n's exact ln-parts, f_n(y) = G_n(y + n) + beta_n,
+# with the beta_k's tail term sum_j |ln x|^j b_j.
 FROZEN_YS = (0, 0.25, 0.1, 1, 7.5, 19.75)
-FROZEN_F_SHA256 = "1a7c5b3c4f9c3bffa093112743c08cefd9c158e5e98f1e61af94c8230343a55a"
+FROZEN_F_SHA256 = "246cf461ff0277529118251b42e3faf64c6b186a158a7717aaff378c3375de18"
 FROZEN_F_SAMPLES = {
-    (64, 128, 10, 0.25): "(0, 99552587312978949220067, -134, 77) (0, 65785207586156964175948883212074181145, -161, 126) True",
-    (40, 96, 7, 0.1): "(1, 221537316256818857, -97, 58) (0, 30032898156488870749250952393, -123, 95) True",
+    (64, 128, 10, 0.25): "(0, 199105174625957898440127, -135, 78) (0, 66061248016965979245662888930573440223, -161, 126) True",
+    (40, 96, 7, 0.1): "(1, 886149265027275427, -99, 60) (0, 15059416960120971873019652693, -122, 94) True",
 }
 
 
@@ -231,13 +240,12 @@ def test_f_values_frozen():
 
 # The same record at points whose x = y + n has a denominator with an odd
 # part (3 or 7), which no float reaches: the Horner sums there multiply by
-# powers of that odd part.  Frozen from the evaluator whose Horner ran in
-# descending powers of 1/x, adding ints[k] * p^(N-k) at each step.
+# powers of that odd part.  Frozen from the same G_n evaluator as above.
 FROZEN_ODD_YS = (F(1, 3), F(22, 7), F(10, 3))
-FROZEN_ODD_SHA256 = "b78f360de52c02a9e918a75ff84cb90684148c21807e87749fe746e269c0d03a"
+FROZEN_ODD_SHA256 = "af6c581d6009bd935857fe9d63e8b62bc27bfdc5ca85bd97973f98966623f28b"
 FROZEN_ODD_SAMPLES = {
-    (64, 128, 10, F(1, 3)): "(0, 61082514438096929093847, -133, 76) (0, 2060667517216686117447316141822995177, -156, 121) True",
-    (40, 96, 7, F(22, 7)): "(0, 579654137684077422113277, -95, 79) (0, 8449344916318634725461564129, -121, 93) True",
+    (64, 128, 10, F(1, 3)): "(0, 977320231009550865501431, -137, 80) (0, 264891662677223498476589401934428959761, -163, 128) True",
+    (40, 96, 7, F(22, 7)): "(0, 37097864811780955015249693, -101, 85) (0, 2128227599430072639207757637, -119, 91) True",
 }
 
 
@@ -254,24 +262,25 @@ def test_f_values_frozen_at_odd_denominators():
     assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_ODD_SHA256
 
 
-# Reference for the skip of exact-zero terms: the evaluator and the beta
-# recurrence with every J^(n-k) evaluated and multiplied in, beta_1 = 0
-# included, in the same libmp operations and order.
+# Reference for the evaluator: f_n and the beta recurrence with every
+# J^(n-k) evaluated and multiplied in, beta_1 = 0 included, in libmp
+# operations at the table's precision.  The evaluator sums the same exact
+# series in another order (G_n's parts, each a sum over k before it is
+# rounded), so the two agree to rounding, not bit for bit.
 SKIP_SETTINGS = ((64, 128), (40, 96), (24, 53))
 
 
-def _every_term_f(table, y):
-    n, order, prec = len(table) - 1, table.order, table.prec
+def _every_term_f(values, tails, n, y, order, prec):
     at = series._Point(series._exact(y) + n, prec)
     value = tail = fzero
     reliable = True
     for k in range(n + 1):
         r = _eval_j(n - k, at, order, prec)
-        beta, rv = table.values[k]._mpf_, r.value._mpf_
+        beta, rv = values[k], r.value._mpf_
         value = mpf_add(value, mpf_mul(beta, rv, prec, round_nearest), prec, round_nearest)
         spread = mpf_mul(mpf_abs(beta, prec, round_nearest), r.tail_estimate._mpf_, prec, round_nearest)
         tail = mpf_add(tail, spread, prec, round_nearest)
-        spread = mpf_mul(table.tails[k]._mpf_, mpf_abs(rv, prec, round_nearest), prec, round_nearest)
+        spread = mpf_mul(tails[k], mpf_abs(rv, prec, round_nearest), prec, round_nearest)
         tail = mpf_add(tail, spread, prec, round_nearest)
         reliable = reliable and r.tail_reliable
     return value, tail, reliable
@@ -295,6 +304,15 @@ def _every_term_betas(n_max, order, prec):
     return tuple(values), tuple(tails)
 
 
+def _exact_abs_j(n, x, order, prec):
+    """|J^0(x)|..|J^n(x)| as Fractions of the floats the reference sums."""
+    return [abs(_q(_eval_j(m, x, order, prec).value._mpf_)) for m in range(n + 1)]
+
+
+def _q(v):
+    return F(*to_rational(v))
+
+
 _ODD_DENOMINATOR_YS = st.integers(1, 25).flatmap(
     lambda h: st.integers(0, 50 * (2 * h + 1)).map(lambda p: F(p, 2 * h + 1))
 )
@@ -306,15 +324,32 @@ _ODD_DENOMINATOR_YS = st.integers(1, 25).flatmap(
     y=st.floats(0, 50) | _ODD_DENOMINATOR_YS,
     setting=st.sampled_from(SKIP_SETTINGS),
 )
-def test_skipping_exact_zero_terms_changes_no_bit(n, y, setting):
+def test_f_and_beta_agree_with_every_term_to_rounding(n, y, setting):
     order, prec = setting
+    ulps = F(2) ** (8 - prec)
     table = beta_table(n, order, prec)
     values, tails = _every_term_betas(12, order, prec)
-    assert [v._mpf_ for v in table.values] == list(values[: n + 1])
-    assert [t._mpf_ for t in table.tails] == list(tails[: n + 1])
     assert (values[0], tails[0], values[1], tails[1]) == (fone, fzero, fzero, fzero)
+    assert [v._mpf_ for v in table.values[:2]] == [fone, fzero][: n + 1]  # exact
+    for m in range(2, n + 1):  # beta_m = -sum_{k<m} beta_k J^(m-k)(m), rounded in two orders
+        j = _exact_abs_j(m, m, order, prec)
+        budget = ulps * sum(abs(_q(values[k])) * j[m - k] for k in range(m))
+        assert abs(_q(table.values[m]._mpf_) - _q(values[m])) <= budget, m
     r = f_eval(n, y, order, prec)
-    assert (r.value._mpf_, r.tail_estimate._mpf_, r.tail_reliable) == _every_term_f(table, y)
+    want_value, want_tail, want_reliable = _every_term_f(values, tails, n, y, order, prec)
+    j = _exact_abs_j(n, series._exact(y) + n, order, prec)
+    moved = [abs(_q(table.values[k]._mpf_) - _q(values[k])) for k in range(n + 1)]
+    budget = sum((ulps * abs(_q(values[k])) + moved[k]) * j[n - k] for k in range(n + 1))
+    assert abs(_q(r.value._mpf_) - _q(want_value)) <= budget
+    assert want_reliable or not r.tail_reliable
+    assert 2 * _q(r.tail_estimate._mpf_) >= _q(want_tail)
+    # sum_j |ln x|^j b_j covers sum_{k<n} tail(beta_k) |J^(n-k)(x)|, J^(n-k)(x) as the reference rounds it
+    carried = sum(_q(table.tails[k]._mpf_) * j[n - k] for k in range(n))
+    with mpmath.workprec(2 * prec):
+        x = series._exact(y) + n
+        ln_x = abs(mpmath.log(mpmath.mpf(x.numerator) / x.denominator))
+        covered = sum(ln_x**i * mpmath.mp.make_mpf(b) for i, b in enumerate(table._b))
+        assert covered * (1 + mpmath.mpf(2) ** (8 - prec)) >= mpmath.mpf(carried.numerator) / carried.denominator
 
 
 def _clear_table_caches():
@@ -348,37 +383,36 @@ def test_each_q_series_is_evaluated_once_per_point(monkeypatch):
     horner = series._horner
     monkeypatch.setattr(series, "_horner", lambda *args: calls.append(args) or horner(*args))
     f_eval(9, 2.5)
-    assert len(calls) == 8  # Q_2..Q_9; Q_0 = 1 and Q_1 = 0 are constants
+    assert len(calls) == 8  # one per non-constant part of G_9: parts 0..7; part 8 is 0, part 9 is 1/9!
 
 
 def test_f_eval_goes_through_logseries_eval_to_series_eval(monkeypatch):
-    # BetaTable.eval -> _eval_j -> logseries_eval -> series_eval, one
-    # series_eval per nonzero part: part m - 1 of J^m, -Q_1 / (m - 1)! = 0,
-    # costs none, and beta_1 = 0 exactly, so J^8 is not evaluated at all:
-    # J^9 and J^7..J^1 make 37 calls, not 54
+    # BetaTable.eval -> logseries_eval(G_n) -> series_eval, one series_eval
+    # per nonzero part of G_n: parts 0..n-2 hold Q_2..Q_n, part n - 1 is
+    # P_1 = beta_1 - Q_1 = 0 and costs none, part n is the constant 1/n!.
+    # So an n = 9 point makes 8 + 1 = 9 calls, and one logseries_eval
     make_f_evaluator(9)
     calls = []
     for module, name in ((series, "series_eval"), (fdecomp, "logseries_eval")):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
     f_eval(9, 2.5)
-    assert (calls.count("series_eval"), calls.count("logseries_eval")) == (37, 8)
+    assert (calls.count("series_eval"), calls.count("logseries_eval")) == (9, 1)
     calls.clear()
-    f_eval(2, 1.5)  # J^2: Q_2 and 1/2; J^1 carries beta_1 = 0
+    f_eval(2, 1.5)  # G_2 = J^2 = (Q_2, 0, 1/2)
     assert (calls.count("series_eval"), calls.count("logseries_eval")) == (2, 1)
 
 
 def test_each_beta_level_is_built_once(monkeypatch):
-    # level n extends the cached level n - 1, so filling f_1..f_9 evaluates
-    # J^m at x = n once for each 1 <= m <= n <= 9 but m = n - 1, whose
-    # factor beta_1 is exactly 0: 37 evaluations, not 165
+    # level n extends the cached level n - 1 by G_n and evaluates it once,
+    # at x = n: filling f_1..f_9 makes 9 evaluations of a G_n
     beta_table.cache_clear()
     calls = []
-    eval_j = fdecomp._eval_j
-    monkeypatch.setattr(fdecomp, "_eval_j", lambda *args: calls.append(args) or eval_j(*args))
+    logseries = fdecomp.logseries_eval
+    monkeypatch.setattr(fdecomp, "logseries_eval", lambda *args: calls.append(args) or logseries(*args))
     for n in range(1, 10):
         make_f_evaluator(n)
-    assert len(calls) == 37
+    assert len(calls) == 9
 
 
 def test_pipeline_never_builds_the_fraction_view(monkeypatch):

@@ -9,7 +9,6 @@ import pytest
 
 from convpow import qcoeff, series
 from convpow.combinatorics import stirling1_unsigned
-from convpow.fdecomp import build_j_iterate
 from convpow.qcoeff import log_expansion_q_list, q_closed_form, q_via_recurrence
 from convpow.series import PowerSeriesInvX, backward_diff, harmonic_h, li1_power, shift_s
 
@@ -241,17 +240,6 @@ def test_closed_form_frozen():
     values = "\n".join(str(q_closed_form(n, s)) for n in range(2, 9) for s in range(41))
     digest = hashlib.sha256(values.encode()).hexdigest()
     assert digest == "4fb7107e0771c21a362d1af7df06f6791efd0fb7f0912e09b72d8959e425e431"
-
-
-def test_each_q_series_is_its_own_root():
-    # no Q-series is the negative of a twin kept alive with it, and every
-    # part of every J-iterate is a multiple of the Q-series it is built from
-    build_j_iterate.cache_clear()  # iterates built before another test cleared the Q cache
-    qs = log_expansion_q_list(10, 64)
-    assert all(q._multiple is None for q in qs)
-    for m in range(11):
-        parts = build_j_iterate(m, 64)
-        assert all(parts[j]._multiple[0] is log_expansion_q_list(m, 64)[m - j] for j in range(m + 1)), m
 
 
 def test_log_expansion_input_validation():

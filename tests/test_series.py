@@ -242,28 +242,6 @@ def test_integer_kernels_match_fraction_reference(pair, c):
     assert (f * F(1, 2) == f) == (not any(a))
 
 
-def test_scalar_multiples_share_one_horner_at_a_point(monkeypatch):
-    # negated, rescaled with a common factor to divide out, and a multiple
-    # of a multiple: each evaluates, bit for bit, as an unlinked copy of its
-    # coefficients running its own Horner
-    f = PowerSeriesInvX([0, 0, Fraction(2, 3), Fraction(4, 3), Fraction(-8, 3)], 2)
-    multiples = [f, -f, f * Fraction(3, 2), Fraction(-5, 4) * f, (f * 6) * Fraction(1, 4), -(f * Fraction(7, 9))]
-    assert {m._multiple[2] for m in multiples[1:]} > {1}
-    calls = []
-    horner = series._horner
-    monkeypatch.setattr(series, "_horner", lambda *args: calls.append(args) or horner(*args))
-    at = series._Point(Fraction(17, 4), 96)
-    for m in multiples:
-        got = series_eval(m, at, 96)
-        want = series_eval(PowerSeriesInvX(m.coeffs, m.conv_abscissa), Fraction(17, 4), 96)
-        assert got.value._mpf_ == want.value._mpf_
-        assert got.tail_estimate._mpf_ == want.tail_estimate._mpf_
-        assert got.tail_reliable == want.tail_reliable
-    assert len(calls) == 1 + len(multiples)  # f's at the shared point, one per unlinked copy
-    with pytest.raises(ValueError, match="below the convergence abscissa 2"):
-        series_eval(-f, series._Point(Fraction(3, 2), 128), 128)
-
-
 def test_a_point_serves_one_precision():
     f = PowerSeriesInvX([0, 1, Fraction(1, 2)])
     at = series._Point(Fraction(5, 2), 96)
