@@ -13,9 +13,9 @@ The J-iterate at level n is a polynomial in ln(x):
 with the pure series Q_j taken from the log-expansion family in `qcoeff`
 (the one satisfying the operator's derivative identity at every level;
 the short-recurrence family over there agrees with it only up to level
-3).  ``build_j_iterate(n)`` returns it as the tuple of its parts, part j
-the series (-1)^{n-j} Q_{n-j} / j! that multiplies ln(x)^j; with
-``_eval_j`` it is the iterate-by-iterate reference the tests hold f_n to.
+3).  ``build_j_iterate(n, order)`` is the tuple of its parts, part j the
+series (-1)^{n-j} Q_{n-j} / j! of ln(x)^j; ``logseries_eval`` over it is
+the iterate-by-iterate reference the tests hold f_n to.
 
 The evaluator sums the iterates before it evaluates them:
 G_n = sum_{k<n} beta_k * J^{n-k}[1] is one polynomial in ln(x) whose parts
@@ -30,7 +30,7 @@ from beta_0 = 1; beta_1 = 0 exactly, as G_1 = ln(x) vanishes at x = 1 (the
 one evaluation at x = 1; everything else requires x > 1).  f_n(0) replays
 the operations that gave beta_n, so it is exactly 0.  ``beta_table(n)``
 forms G_n from G_{n-1}: part 0, sum_{i=2}^{n} (-1)^i beta_{n-i} Q_i
-(Q_1 = 0), in one integer pass over a common denominator; part 1,
+(Q_1 = 0), in one integer pass (``PowerSeriesInvX._combination``); part 1,
 G_{n-1}'s part 0 plus beta_{n-1}; part j >= 2, G_{n-1}'s part j - 1 over
 j.  Its table is f_n's evaluator (``make_f_evaluator``).  A point at level
 n >= 2 makes one ``logseries_eval`` of G_n: n - 1 exact Horners (parts
@@ -55,7 +55,6 @@ evaluated f_n satisfy the defining integral/differential identities.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -72,7 +71,6 @@ from .series import (
     _exact,
     _horner,
     _make_mpf,
-    _point,
     _Point,
     _to_mpf,
     logseries_eval,
@@ -83,7 +81,7 @@ _REFLECTION_TOL = 1e-10
 
 
 @lru_cache(maxsize=None)
-def build_j_iterate(n: int, order: int = DEFAULT_ORDER) -> tuple[PowerSeriesInvX, ...]:
+def build_j_iterate(n: int, order: int, /) -> tuple[PowerSeriesInvX, ...]:
     """Assemble J^n[1] from the log-expansion Q-series as the tuple of its
     ln-polynomial's parts: part j, the coefficient of ln(x)^j, is
     (-1)^{n-j} Q_{n-j} / j!.
@@ -98,21 +96,9 @@ def build_j_iterate(n: int, order: int = DEFAULT_ORDER) -> tuple[PowerSeriesInvX
     return tuple(qs[n - j] * Fraction(-1 if (n - j) % 2 else 1, math.factorial(j)) for j in range(n + 1))
 
 
-def _eval_j(m: int, x, order: int, prec: int) -> EvalResult:
-    """Evaluate J^m[1] at x, a number or a ``_Point`` the other iterates at
-    that point share.  J^1 also takes x = 1, where it is exactly ln 1 = 0."""
-    if m == 0:
-        return EvalResult(_make_mpf(fone), _make_mpf(fzero), True)
-    at = _point(x, prec)
-    if not at.above_one and not (m == 1 and at.x == 1):
-        raise ValueError(f"J-iterates with m >= 1 need x > 1, got x={at.x}")
-    return logseries_eval(build_j_iterate(m, order), at, prec)
-
-
 class BetaTable:
     """beta_0..beta_n as high-precision floats with tail estimates, and the
-    evaluator of f_n they define at the order and precision they were
-    built with.
+    evaluator of f_n they define at the precision they were built with.
 
     ``tails[k]`` accumulates, linearly, the truncation-tail estimates of
     every series evaluation that entered beta_k; beta_0 and beta_1 are
@@ -121,12 +107,11 @@ class BetaTable:
     (see the module docstring).
     """
 
-    __slots__ = ("values", "tails", "order", "prec", "_g", "_b")
+    __slots__ = ("values", "tails", "prec", "_g", "_b")
 
-    def __init__(self, values: tuple, tails: tuple, order: int, prec: int, g: tuple, b: tuple):
+    def __init__(self, values: tuple, tails: tuple, prec: int, g: tuple, b: tuple):
         self.values = values
         self.tails = tails
-        self.order = order
         self.prec = prec
         self._g = g
         self._b = b
@@ -161,15 +146,6 @@ def _g_at(g: tuple[PowerSeriesInvX, ...], b: tuple, at: _Point) -> tuple:
     return r.value._mpf_, tail, r.tail_reliable
 
 
-def _combination(terms) -> PowerSeriesInvX:
-    """sum c * g over the pairs (g, c) of series and rational factors, in
-    one integer pass over the common denominator of the terms."""
-    den = math.lcm(*(g.den * c.denominator for g, c in terms))
-    weights = [c.numerator * (den // (g.den * c.denominator)) for g, c in terms]
-    ints = [sum(map(operator.mul, weights, column)) for column in zip(*(g.ints for g, _ in terms))]
-    return PowerSeriesInvX._from_scaled(den, ints, max(g.conv_abscissa for g, _ in terms))
-
-
 def _abs_sum(q: PowerSeriesInvX, n: int, prec: int) -> tuple:
     """|Q|(n), the series with absolute coefficients at the integer n, as an ``_mpf_``."""
     num = _horner([abs(c) for c in q.ints], n, 0, None)
@@ -177,7 +153,7 @@ def _abs_sum(q: PowerSeriesInvX, n: int, prec: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def beta_table(n_max: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC) -> BetaTable:
+def beta_table(n_max: int, order: int, prec: int, /) -> BetaTable:
     """Compute beta_0..beta_{n_max} by the triangular recurrence
     beta_n = -G_n(n).
 
@@ -189,8 +165,7 @@ def beta_table(n_max: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC)
     if n_max < 0:
         raise ValueError(f"beta index must be >= 0, got {n_max}")
     if n_max == 0:
-        return BetaTable((mpmath.mpf(1),), (mpmath.mpf(0),), order, prec, (PowerSeriesInvX.zero(order),), ())
-    # positional, as make_f_evaluator passes them: lru_cache keys on the arguments as given
+        return BetaTable((mpmath.mpf(1),), (mpmath.mpf(0),), prec, (PowerSeriesInvX.zero(order),), ())
     for k in range(n_max):
         lower = beta_table(k, order, prec)
     n, qs, betas, tails = n_max, log_expansion_q_list(n_max, order), lower.values, lower.tails
@@ -198,8 +173,8 @@ def beta_table(n_max: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC)
     # part 0: sum_{i=2}^{n} (-1)^i beta_{n-i} Q_i (Q_1 = 0); part 1: part 0 of G_{n-1} plus beta_{n-1}
     leading = [(qs[i], exact[n - i] * (-1) ** i) for i in range(2, n + 1) if exact[n - i]]
     g = (
-        _combination(leading) if leading else PowerSeriesInvX.zero(order),
-        _combination([(lower._g[0], Fraction(1)), (qs[0], exact[n - 1])]),
+        PowerSeriesInvX._combination(leading) if leading else PowerSeriesInvX.zero(order),
+        PowerSeriesInvX._combination([(lower._g[0], 1), (qs[0], exact[n - 1])]),
     ) + tuple(part * Fraction(1, j) for j, part in enumerate(lower._g[1:], 2))
     # b_j = (1/j!) sum_{2 <= k < n} tail(beta_k) |Q_{n-k-j}|(n) for j <= n - 2, each product exact
     abs_q = [fone, fzero] + [_abs_sum(q, n, prec) for q in qs[2 : n - 1]]  # |Q_0| = 1, |Q_1| = 0
@@ -207,7 +182,7 @@ def beta_table(n_max: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC)
     b = tuple(mpf_div(acc, from_int(math.factorial(j)), prec, round_nearest) for j, acc in enumerate(sums))
     value, tail, _ = _g_at(g, b, _Point(Fraction(n), prec))
     value, tail = _make_mpf(mpf_neg(value, prec, round_nearest)), _make_mpf(tail)
-    return BetaTable(betas + (value,), tails + (tail,), order, prec, g, b)
+    return BetaTable(betas + (value,), tails + (tail,), prec, g, b)
 
 
 def make_f_evaluator(n: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC) -> BetaTable:

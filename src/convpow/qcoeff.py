@@ -54,11 +54,11 @@ from functools import lru_cache
 
 from .amatrix import compute_a_matrix
 from .combinatorics import stirling1_unsigned
-from .series import DEFAULT_ORDER, PowerSeriesInvX, backward_diff, harmonic_h, li1_power, shift_s
+from .series import PowerSeriesInvX, backward_diff, harmonic_h, li1_power, shift_s
 
 
 @lru_cache(maxsize=None)
-def q_via_recurrence(n: int, order: int = DEFAULT_ORDER) -> PowerSeriesInvX:
+def q_via_recurrence(n: int, order: int, /) -> PowerSeriesInvX:
     """Q_n of the short family as a truncated series, via the operator
     recurrence on the cached Q_{n-1}.
 
@@ -108,7 +108,7 @@ def q_closed_form(n_plus_1: int, s: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def log_expansion_q_list(n_max: int, order: int = DEFAULT_ORDER) -> tuple[PowerSeriesInvX, ...]:
+def log_expansion_q_list(n_max: int, order: int, /) -> tuple[PowerSeriesInvX, ...]:
     """Q_0..Q_{n_max} of the *log expansion*, via the full recurrence.
 
     This is the family satisfying the derivative identity of the iterated
@@ -127,11 +127,10 @@ def log_expansion_q_list(n_max: int, order: int = DEFAULT_ORDER) -> tuple[PowerS
     Only level n_max is built here; the lower levels are the cached
     ``log_expansion_q_list(n_max - 1, order)``, requested bottom-up and
     shared element by element, and S[Q_j] comes from ``_shifted``.  The
-    bracket is assembled as li1_power(k) + S[Q_k] - Q_k + sum_{2<=j<k}
-    S[Q_j] * li1_power(k-j): S[Q_k] - Q_k = -nabla[Q_k], and the j = 0 and
-    j = 1 products, li1_power(k) and 0 (S[Q_1] = S[0] = 0), are not formed.
-    Lowest terms are unique, so the series are those of every product
-    formed, and the abscissa is still the max set by S[Q_k] - Q_k.
+    negated bracket -li1_power(k) - S[Q_k] + Q_k - sum_{2<=j<k} S[Q_j] *
+    li1_power(k-j) is one integer pass (S[Q_k] - Q_k = -nabla[Q_k]; the
+    j = 0 product is li1_power(k) itself, the j = 1 product is 0), reduced
+    once to lowest terms, which are unique.  The abscissa is the terms' max.
     """
     if n_max < 0:
         raise ValueError(f"log_expansion_q_list requires n_max >= 0, got {n_max}")
@@ -144,10 +143,9 @@ def log_expansion_q_list(n_max: int, order: int = DEFAULT_ORDER) -> tuple[PowerS
     if n_max == 1:
         return qs + (PowerSeriesInvX.zero(order),)  # Q_1 = 0 is initial data
     k = n_max - 1
-    bracket = li1_power(k, order) + _shifted(k, order) - qs[k]  # j = 0: S[Q_0] = 1; j = 1: S[Q_1] = 0
-    for j in range(2, k):
-        bracket = bracket + _shifted(j, order) * li1_power(k - j, order)
-    return qs + (harmonic_h(-bracket),)
+    terms = [(li1_power(k, order), -1), (_shifted(k, order), -1), (qs[k], 1)]  # j = 0: S[Q_0] = 1; j = 1: S[Q_1] = 0
+    terms += [(_shifted(j, order) * li1_power(k - j, order), -1) for j in range(2, k)]
+    return qs + (harmonic_h(PowerSeriesInvX._combination(terms)),)
 
 
 @lru_cache(maxsize=None)

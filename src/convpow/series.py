@@ -19,7 +19,10 @@ The operators implemented here:
                        Li_1(1/x) = ln(x) - ln(x-1), the backward difference
                        of ln(x) itself.
 
-The Cauchy product is ``PowerSeriesInvX.__mul__``.
+The Cauchy product is ``PowerSeriesInvX.__mul__``; every linear
+combination (``+``, ``-`` and so ``shift_s``, and the sums ``qcoeff`` and
+``fdecomp`` form) is ``PowerSeriesInvX._combination``, one integer pass
+over the common denominator of its terms.
 
 Every operator and evaluation runs on those integers: each operator
 reduces its output to lowest terms once, and evaluation keeps partial sums
@@ -27,10 +30,8 @@ as exact integers (Horner) and converts to an mpmath float once, at the
 end.  Fractions are built only when a caller asks for ``coeffs``.  Each
 evaluation carries a geometric-ratio tail estimate for the truncated
 remainder, flagged unreliable when the last coefficient ratio does not
-support a geometric model at the requested point.  That model runs on
-integers too: with max(|a_N / a_{N-1}|, 1) = a/b and x = p/q, the ratio
-rho = u/v of u = a*q and v = b*p is compared by cross-multiplying, and
-1 - rho = (v - u)/v is reduced by gcd(u, v) before its one conversion.
+support a geometric model at the requested point; ``series_eval`` runs
+that model, on integers too.
 
 The Horner sum at x = p/q runs in ascending powers of 1/x, multiplying by
 p at each step; q = odd * 2^s enters each coefficient as odd^k shifted
@@ -45,9 +46,8 @@ step or a context switch; the caller's ``mpmath.mp.prec`` is neither read
 nor changed.  Only the ``EvalResult`` fields are ``mpf``.
 
 ``series_eval`` and ``logseries_eval`` take a number or a point prepared
-at their precision (``_Point``) that several evaluations share: the parts
-of one polynomial in ln(x) share the point's powers and ln(x), and each
-part runs its own exact Horner (``_horner``).
+at their precision (``_Point``): the parts of one polynomial in ln(x)
+share the point's powers and ln(x).
 """
 
 from __future__ import annotations
@@ -139,12 +139,12 @@ class PowerSeriesInvX:
         return self
 
     @classmethod
-    def zero(cls, order: int, conv_abscissa: Rational = 1) -> "PowerSeriesInvX":
-        return cls([0] * (order + 1), conv_abscissa)
+    def zero(cls, order: int) -> "PowerSeriesInvX":
+        return cls([0] * (order + 1))
 
     @classmethod
-    def constant(cls, value: Rational, order: int, conv_abscissa: Rational = 1) -> "PowerSeriesInvX":
-        return cls([value] + [0] * order, conv_abscissa)
+    def constant(cls, value: Rational, order: int) -> "PowerSeriesInvX":
+        return cls([value] + [0] * order)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -190,22 +190,27 @@ class PowerSeriesInvX:
             self._floats[prec] = got
         return got
 
-    def _combine(self, other: "PowerSeriesInvX", sign: int) -> "PowerSeriesInvX":
-        """self + sign * other, over the lcm of both denominators."""
-        if not isinstance(other, PowerSeriesInvX):
-            return NotImplemented
-        self._require_same_order(other)
-        den = math.lcm(self.den, other.den)
-        ua, ub = den // self.den, sign * (den // other.den)
-        return PowerSeriesInvX._from_scaled(
-            den, [x * ua + y * ub for x, y in zip(self.ints, other.ints)], max(self.conv_abscissa, other.conv_abscissa)
-        )
+    @staticmethod
+    def _combination(terms) -> "PowerSeriesInvX":
+        """sum c * g over the pairs (g, c) of series of one order and
+        rational factors, in one integer pass over the common denominator
+        of the terms; the abscissa is the largest of theirs."""
+        for g, _ in terms:
+            terms[0][0]._require_same_order(g)
+        den = math.lcm(*(g.den * c.denominator for g, c in terms))
+        weights = [c.numerator * (den // (g.den * c.denominator)) for g, c in terms]
+        ints = [sum(map(operator.mul, weights, column)) for column in zip(*(g.ints for g, _ in terms))]
+        return PowerSeriesInvX._from_scaled(den, ints, max(g.conv_abscissa for g, _ in terms))
 
     def __add__(self, other: "PowerSeriesInvX") -> "PowerSeriesInvX":
-        return self._combine(other, 1)
+        if not isinstance(other, PowerSeriesInvX):
+            return NotImplemented
+        return self._combination(((self, 1), (other, 1)))
 
     def __sub__(self, other: "PowerSeriesInvX") -> "PowerSeriesInvX":
-        return self._combine(other, -1)
+        if not isinstance(other, PowerSeriesInvX):
+            return NotImplemented
+        return self._combination(((self, 1), (other, -1)))
 
     def __neg__(self) -> "PowerSeriesInvX":
         return self * -1
@@ -310,7 +315,7 @@ def backward_diff(g: PowerSeriesInvX) -> PowerSeriesInvX:
 
 
 @lru_cache(maxsize=None)
-def li1_power(n: int, order: int = DEFAULT_ORDER) -> PowerSeriesInvX:
+def li1_power(n: int, order: int, /) -> PowerSeriesInvX:
     """(1/n!) * Li_1(1/x)^n, exactly: the x^{-k} coefficient is s(k, n)/k!.
 
     s(k, n) is the unsigned Stirling number of the first kind; the n = 0
@@ -339,17 +344,15 @@ def _horner(ints, p: int, shift: int, opow) -> int:
     q = odd * 2^shift and opow = odd^0..odd^N, or None when odd = 1.
 
     With ints = den * a_k of a series and x = p/q, the series' partial sum
-    at x is this integer over den * p^N.  It runs in ascending k, acc * p +
-    ints[k] * q^k, with q^k = odd^k << shift*k: one product by p per step,
-    and for a float point (odd = 1) no product by odd^k at all.
+    at x is this integer over den * p^N.  After scaling ints[k] by odd^k
+    (skipped at a float point, where odd = 1) it runs in ascending k,
+    acc * p + (ints[k] << shift*k): one product by p per step.
     """
+    if opow is not None:
+        ints = list(map(operator.mul, ints, opow))
     acc = ints[0]
-    if opow is None:
-        for k in range(1, len(ints)):
-            acc = acc * p + (ints[k] << (shift * k))
-    else:
-        for k in range(1, len(ints)):
-            acc = acc * p + ((ints[k] * opow[k]) << (shift * k))
+    for k in range(1, len(ints)):
+        acc = acc * p + (ints[k] << (shift * k))
     return acc
 
 
@@ -358,18 +361,16 @@ class _Point:
     series evaluated at it.
 
     It keeps q = odd * 2^shift, the powers of odd (none for a float
-    point, where odd = 1), whether x > 1 (the one range test of the
-    J-iterates and of ln x) and, as ``_mpf_`` tuples at its precision, x
+    point, where odd = 1) and, as ``_mpf_`` tuples at its precision, x
     itself, p^N and x^(-N) per order N and the powers of ln x.  A point
     lives for one evaluation; nothing is kept beyond it.
     """
 
-    __slots__ = ("x", "prec", "above_one", "_shift", "_odd", "_opow", "_mpf", "_floats", "_weights")
+    __slots__ = ("x", "prec", "_shift", "_odd", "_opow", "_mpf", "_floats", "_weights")
 
     def __init__(self, xf: Fraction, prec: int):
         self.x = xf
         self.prec = prec
-        self.above_one = xf > 1
         q = xf.denominator
         self._shift = (q & -q).bit_length() - 1
         self._odd = q >> self._shift
@@ -378,7 +379,10 @@ class _Point:
         self._floats = {}  # N -> (p^N, x^(-N))
         self._weights = None  # ([ln(x)^j], [|ln(x)|^j], ln(x))
 
-    def powers(self, n: int) -> list[int]:
+    def powers(self, n: int) -> list[int] | None:
+        """odd^0..odd^n, or None when odd = 1."""
+        if self._odd == 1:
+            return None
         opow = self._opow
         while len(opow) <= n:
             opow.append(opow[-1] * self._odd)
@@ -402,33 +406,6 @@ class _Point:
             abs_weights.append(mpf_abs(weights[-1], prec, round_nearest))
         return weights, abs_weights
 
-    def terms(self, g: PowerSeriesInvX, ratio: tuple[int, int] | None):
-        """(g's exact Horner sum, reliable, 1 - rho), the floats as
-        ``_mpf_`` tuples at the point's precision.
-
-        g is range-checked against its convergence abscissa.  The tail
-        model: rho = (a/b) / x with (a, b) = ratio decays when rho < 1 (the
-        reliability flag), and rho is capped at 255/256 before 1 - rho is
-        converted; the tail estimate is then |a_N| * x^(-N) / (1 - rho).  It
-        runs on integers: with x = p/q, rho = u/v for u = a*q and v = b*p,
-        and uncapped 1 - rho is (v - u)/v, converted in lowest terms as
-        ``_to_mpf`` converts the Fraction.  With no ratio (a_N = 0) there is
-        no tail, and 1 - rho is None.
-        """
-        p, q, abscissa, prec = self.x.numerator, self.x.denominator, g.conv_abscissa, self.prec
-        if p * abscissa.denominator < abscissa.numerator * q:
-            raise ValueError(f"evaluation point {self.x} is below the convergence abscissa {abscissa}")
-        reliable, one_minus_rho = True, None
-        if ratio is not None:
-            u, v = ratio[0] * q, ratio[1] * p
-            reliable, one_minus_rho = u < v, _ONE_MINUS_CAPPED_RHO
-            if 256 * u < 255 * v:  # rho below the cap
-                r = math.gcd(u, v)
-                gap, whole = from_int((v - u) // r, prec, round_nearest), from_int(v // r, prec, round_nearest)
-                one_minus_rho = mpf_div(gap, whole, prec, round_nearest)
-        opow = None if self._odd == 1 else self.powers(g.order)
-        return from_int(_horner(g.ints, p, self._shift, opow), prec, round_nearest), reliable, one_minus_rho
-
 
 def _point(x, prec: int) -> _Point:
     at = x if isinstance(x, _Point) else _Point(_exact(x), prec)
@@ -444,20 +421,35 @@ def series_eval(g: PowerSeriesInvX, x, prec: int = DEFAULT_PREC) -> EvalResult:
     of the coefficients and x = p/q in lowest terms, Horner's rule runs on
     integers (``_horner``) and the single division happens at float
     precision ``prec``.  Constant series evaluate anywhere (the point is not
-    even range-checked, matching the convention that degree-0 data has no
-    singularity).  Inside the package x may also be a ``_Point`` prepared at
-    ``prec`` and shared by several evaluations, which then share its powers.
+    even range-checked: degree-0 data has no singularity).  Inside the
+    package x may also be a ``_Point`` prepared at ``prec``.
+
+    The tail model: rho = (a/b) / x, with a/b = max(|a_N / a_{N-1}|, 1),
+    decays when rho < 1 (the reliability flag) and is capped at 255/256;
+    the tail is |a_N| * x^(-N) / (1 - rho), none when a_N = 0.  On
+    integers, rho = u/v with u = a*q and v = b*p, compared by
+    cross-multiplying, and uncapped 1 - rho = (v - u)/v is reduced by
+    gcd(u, v) and converted as ``_to_mpf`` converts the Fraction.
     """
-    at = x if type(x) is _Point and x.prec == prec else _point(x, prec)
-    constant, den, abs_last, ratio = g._floats.get(prec) or g._eval_floats(prec)
+    at = _point(x, prec)
+    constant, den, abs_last, ratio = g._eval_floats(prec)
     if constant is not None:
         return EvalResult(_make_mpf(constant), _make_mpf(fzero), True)
-    numerator, reliable, one_minus_rho = at.terms(g, ratio)
-    p_n, x_pow = at._floats.get(g.order) or at.floats(g.order)
-    value = mpf_div(numerator, mpf_mul(den, p_n, prec, round_nearest), prec, round_nearest)
-    tail = fzero
-    if one_minus_rho is not None:
+    p, q, abscissa = at.x.numerator, at.x.denominator, g.conv_abscissa
+    if p * abscissa.denominator < abscissa.numerator * q:
+        raise ValueError(f"evaluation point {at.x} is below the convergence abscissa {abscissa}")
+    p_n, x_pow = at.floats(g.order)
+    reliable, tail = True, fzero
+    if ratio is not None:
+        u, v = ratio[0] * q, ratio[1] * p
+        reliable, one_minus_rho = u < v, _ONE_MINUS_CAPPED_RHO
+        if 256 * u < 255 * v:  # rho below the cap
+            r = math.gcd(u, v)
+            gap, whole = from_int((v - u) // r, prec, round_nearest), from_int(v // r, prec, round_nearest)
+            one_minus_rho = mpf_div(gap, whole, prec, round_nearest)
         tail = mpf_div(mpf_mul(abs_last, x_pow, prec, round_nearest), one_minus_rho, prec, round_nearest)
+    numerator = from_int(_horner(g.ints, p, at._shift, at.powers(g.order)), prec, round_nearest)
+    value = mpf_div(numerator, mpf_mul(den, p_n, prec, round_nearest), prec, round_nearest)
     return EvalResult(_make_mpf(value), _make_mpf(tail), reliable)
 
 
@@ -471,7 +463,7 @@ def logseries_eval(parts: tuple[PowerSeriesInvX, ...], x, prec: int = DEFAULT_PR
         raise ValueError("a polynomial in ln(x) needs at least its ln-degree-0 part")
     at = _point(x, prec)
     if len(parts) > 1:
-        if not at.above_one and at.x <= 0:
+        if at.x.numerator <= 0:
             raise ValueError(f"ln(x) requires x > 0, got {at.x}")
         weights, abs_weights = at.ln_weights(len(parts) - 1)
     value, tail, reliable = fzero, fzero, True

@@ -211,6 +211,16 @@ def test_verify_narrowed(capsys):
     assert "n=1" in payload["checks"][0]["name"]
 
 
+def test_verify_reflection_stall_is_a_failed_check(capsys):
+    # a quadrature that does not converge fails that point's check (exit 1), not the usage (exit 2)
+    rc = cli.main(["verify", "reflection", "--n", "0", "--y", "1e12"])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert (rc, captured.err) == (1, "")
+    assert (payload["results"]["total"], payload["results"]["passed"]) == (1, 0)
+    assert "did not converge" in payload["checks"][0]["detail"]
+
+
 def test_verify_dualpath_args(capsys):
     rc, payload = run_json(capsys, ["verify", "dualpath", "--nmax", "3", "--smax", "6"])
     assert rc == 0

@@ -15,8 +15,9 @@ from convpow.convolution import (
     reconstruct_from_f,
     varphi,
 )
-from convpow.fdecomp import _eval_j, beta_table, f_eval
+from convpow.fdecomp import beta_table, build_j_iterate, f_eval
 from convpow.quadrature import QuadratureError
+from convpow.series import logseries_eval
 
 
 def test_params_validation():
@@ -204,15 +205,15 @@ def test_oracle_triangle_spot_checks():
 
 
 def test_j_from_oracle_matches_series():
-    betas = beta_table(4).values
+    betas = beta_table(4, 64, 128).values
     for n in (1, 2, 3, 4):
         got = j_iterate_from_f_oracle(n, 4.0, betas)
-        want = float(_eval_j(n, 4, 64, 128).value)
+        want = float(logseries_eval(build_j_iterate(n, 64), 4, 128).value)
         assert abs(got - want) < 1e-8, n
 
 
 def test_j_from_oracle_validation():
-    betas = beta_table(2).values
+    betas = beta_table(2, 64, 128).values
     with pytest.raises(ValueError):
         j_iterate_from_f_oracle(2, 1.5, betas)  # x < n
     with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_mul, mpf_neg, round_
 from convpow import fdecomp, qcoeff, series
 from convpow.fdecomp import (
     BetaTable,
-    _eval_j,
     beta_table,
     build_j_iterate,
     derivative_residual,
@@ -20,7 +19,7 @@ from convpow.fdecomp import (
     make_f_evaluator,
     reflection_residual,
 )
-from convpow.series import PowerSeriesInvX
+from convpow.series import DEFAULT_ORDER, DEFAULT_PREC, PowerSeriesInvX, logseries_eval
 
 F = Fraction
 
@@ -32,7 +31,7 @@ F = Fraction
 def test_j0_is_one():
     j = build_j_iterate(0, 8)
     assert j == (PowerSeriesInvX.constant(1, 8),)
-    assert float(_eval_j(0, 0.5, 8, 64)) == 1.0
+    assert float(logseries_eval(j, 0.5, 64)) == 1.0
 
 
 def test_j1_is_ln():
@@ -50,7 +49,7 @@ def test_j2_is_dilog_plus_half_log_squared():
 
 
 def test_j2_at_two_is_pi_squared_over_twelve():
-    r = _eval_j(2, 2, 64, 128)
+    r = logseries_eval(build_j_iterate(2, 64), 2, 128)
     with mpmath.workprec(128):
         assert abs(r.value - mpmath.pi**2 / 12) < 1e-18
 
@@ -68,11 +67,12 @@ def test_j_iterate_part_signs():
 
 
 def test_j_eval_domain():
-    assert float(_eval_j(1, 1, 16, 64)) == 0.0  # the one allowed x=1 case
-    with pytest.raises(ValueError):
-        _eval_j(1, F(1, 2), 16, 64)
-    with pytest.raises(ValueError):
-        _eval_j(2, 1, 16, 64)
+    assert float(logseries_eval(build_j_iterate(1, 16), 1, 64)) == 0.0
+    r = logseries_eval(build_j_iterate(1, 16), F(1, 2), 64)  # J^1[1] = ln x, defined below 1 too
+    with mpmath.workprec(64):
+        assert (r.value, r.tail_estimate, r.tail_reliable) == (mpmath.log(mpmath.mpf(1) / 2), 0, True)
+    with pytest.raises(ValueError, match="below the convergence abscissa"):
+        logseries_eval(build_j_iterate(2, 16), 1, 64)
     with pytest.raises(ValueError):
         build_j_iterate(-1, 8)
 
@@ -82,7 +82,7 @@ def test_j_eval_domain():
 
 
 def test_beta_first_two_are_exact():
-    t = beta_table(1)
+    t = beta_table(1, 64, 128)
     assert t.values[0] == 1
     assert t.values[1] == 0
     assert t.tails[0] == 0
@@ -90,7 +90,7 @@ def test_beta_first_two_are_exact():
 
 
 def test_beta_two_is_minus_pi_squared_over_twelve():
-    t = beta_table(2)
+    t = beta_table(2, 64, 128)
     with mpmath.workprec(128):
         target = -(mpmath.pi**2) / 12
         assert abs(t.values[2] - target) < 1e-20
@@ -107,7 +107,7 @@ def test_beta_unrolled_combinations():
     t = beta_table(4, order, prec)
 
     def j(m, x):
-        return _eval_j(m, x, order, prec).value
+        return logseries_eval(build_j_iterate(m, order), x, prec).value
 
     with mpmath.workprec(prec):
         b3 = -j(3, 3) + j(2, 2) * j(1, 3)
@@ -118,7 +118,7 @@ def test_beta_unrolled_combinations():
 
 def test_beta_level_four_value():
     # frozen from two independent quadrature routes (see convolution tests)
-    t = beta_table(4)
+    t = beta_table(4, 64, 128)
     assert abs(float(t.values[4]) - 0.06764520210695307) < 1e-12
 
 
@@ -144,12 +144,12 @@ def test_beta_tails_cover_the_zeta_route():
 
 
 def test_beta_table_shape_and_validation():
-    t = beta_table(3)
+    t = beta_table(3, 64, 128)
     assert len(t) == 4
     assert t[0] == t.values[0]
     assert isinstance(t, BetaTable)
     with pytest.raises(ValueError):
-        beta_table(-1)
+        beta_table(-1, 64, 128)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ def _every_term_f(values, tails, n, y, order, prec):
     value = tail = fzero
     reliable = True
     for k in range(n + 1):
-        r = _eval_j(n - k, at, order, prec)
+        r = logseries_eval(build_j_iterate(n - k, order), at, prec)
         beta, rv = values[k], r.value._mpf_
         value = mpf_add(value, mpf_mul(beta, rv, prec, round_nearest), prec, round_nearest)
         spread = mpf_mul(mpf_abs(beta, prec, round_nearest), r.tail_estimate._mpf_, prec, round_nearest)
@@ -293,7 +293,7 @@ def _every_term_betas(n_max, order, prec):
         at = series._Point(F(n), prec)
         acc = acc_tail = fzero
         for k in range(n):
-            r = _eval_j(n - k, at, order, prec)
+            r = logseries_eval(build_j_iterate(n - k, order), at, prec)
             beta, rv = values[k], r.value._mpf_
             acc = mpf_add(acc, mpf_mul(beta, rv, prec, round_nearest), prec, round_nearest)
             spread = mpf_mul(mpf_abs(beta, prec, round_nearest), r.tail_estimate._mpf_, prec, round_nearest)
@@ -306,7 +306,7 @@ def _every_term_betas(n_max, order, prec):
 
 def _exact_abs_j(n, x, order, prec):
     """|J^0(x)|..|J^n(x)| as Fractions of the floats the reference sums."""
-    return [abs(_q(_eval_j(m, x, order, prec).value._mpf_)) for m in range(n + 1)]
+    return [abs(_q(logseries_eval(build_j_iterate(m, order), x, prec).value._mpf_)) for m in range(n + 1)]
 
 
 def _q(v):
@@ -364,7 +364,7 @@ def test_caller_precision_changes_no_bit(caller_prec):
     # beta and f_n work at their own prec, cold or warm, and leave mp.prec as the caller set it
     def bits(want_prec):
         _clear_table_caches()
-        table = beta_table(9)
+        table = beta_table(9, DEFAULT_ORDER, DEFAULT_PREC)
         assert mpmath.mp.prec == want_prec
         values = [f_eval(9, y) for y in (0.1, 7.5, F(22, 7))]
         assert mpmath.mp.prec == want_prec
@@ -375,6 +375,20 @@ def test_caller_precision_changes_no_bit(caller_prec):
     want = bits(mpmath.mp.prec)
     with mpmath.workprec(caller_prec):
         assert bits(caller_prec) == want
+
+
+def test_one_beta_table_per_key():
+    # order and prec are positional and required, so the default setting
+    # has one spelling and one cached table per level
+    _clear_table_caches()
+    f_eval(5, 1.0)
+    table = make_f_evaluator(5)
+    assert beta_table(5, DEFAULT_ORDER, DEFAULT_PREC) is table
+    assert beta_table.cache_info().misses == 6  # levels 0..5, each built once
+    with pytest.raises(TypeError):
+        beta_table(5)
+    with pytest.raises(TypeError):
+        beta_table(5, order=DEFAULT_ORDER, prec=DEFAULT_PREC)
 
 
 def test_each_q_series_is_evaluated_once_per_point(monkeypatch):

@@ -47,7 +47,7 @@ def test_q3_against_bracket_oracle():
 
 def test_recurrence_input_validation():
     with pytest.raises(ValueError):
-        q_via_recurrence(-1)
+        q_via_recurrence(-1, 6)
     with pytest.raises(ValueError):
         q_via_recurrence(2, 0)
 

@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import mpf_div, mpf_mul, mpf_pow_int, round_nearest
 
 from convpow import series
 from convpow.series import (
@@ -406,13 +407,15 @@ def test_tail_model_branch_by_branch(coeffs, x, reliable):
 @example(F(1, 3), F(5, 2), 64, True)  # ratio < 1: rho = 1 / x
 @example(F(97, 40), F(23851993, 810670), 24, False)  # u, v share a factor 10 that rounding would see
 def test_tail_model_is_the_fraction_formula_bit_for_bit(ratio, x, prec, negative):
-    # the point's integer tail model against rho = max(ratio, 1) / x on Fractions
+    # series_eval's integer tail model against rho = max(ratio, 1) / x on
+    # Fractions: |a_N| x^-N / (1 - min(rho, 255/256)), each factor rounded once
     g = PowerSeriesInvX([0, 1, 1, -ratio if negative else ratio])
-    at = series._Point(x, prec)
-    _, reliable, one_minus_rho = at.terms(g, g._eval_floats(prec)[3])
+    r = series_eval(g, x, prec)
     rho = max(ratio, 1) / x
-    assert one_minus_rho == series._to_mpf(1 - min(rho, F(255, 256)), prec)
-    assert reliable is (rho < 1)
+    x_pow = mpf_pow_int(series._to_mpf(x, prec), -3, prec, round_nearest)
+    top = mpf_mul(series._to_mpf(ratio, prec), x_pow, prec, round_nearest)
+    assert r.tail_estimate._mpf_ == mpf_div(top, series._to_mpf(1 - min(rho, F(255, 256)), prec), prec, round_nearest)
+    assert r.tail_reliable is (rho < 1)
 
 
 @pytest.mark.parametrize("order", [16, 32, 64])
