@@ -126,7 +126,7 @@ def cmd_qcoeff(args):
         raise ValueError(f"level must be >= 0, got {args.n}")
     if args.smax < 1:
         raise ValueError(f"smax must be >= 1, got {args.smax}")
-    rec = q_via_recurrence(args.n, args.smax).coeffs  # built on each access: once here
+    rec = q_via_recurrence(args.n, args.smax)[args.n].coeffs
     rows = []
     agree = True
     for s in range(args.smax + 1):

@@ -80,7 +80,6 @@ from .series import (
 _REFLECTION_TOL = 1e-10
 
 
-@lru_cache(maxsize=None)
 def build_j_iterate(n: int, order: int, /) -> tuple[PowerSeriesInvX, ...]:
     """Assemble J^n[1] from the log-expansion Q-series as the tuple of its
     ln-polynomial's parts: part j, the coefficient of ln(x)^j, is
@@ -88,7 +87,8 @@ def build_j_iterate(n: int, order: int, /) -> tuple[PowerSeriesInvX, ...]:
 
     Uses :func:`convpow.qcoeff.log_expansion_q_list` (the full-recurrence
     family), which is the one consistent with the operator's derivative
-    identity at every level; see the `qcoeff` module docstring.
+    identity at every level; see the `qcoeff` module docstring.  A
+    reference path: each call forms its n + 1 scalar products afresh.
     """
     if n < 0:
         raise ValueError(f"iterate index must be >= 0, got n={n}")

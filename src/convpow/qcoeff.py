@@ -35,15 +35,14 @@ layer consumes, since only it satisfies the defining differential,
 reflection and convolution identities from level 4 upward.  The
 ``log-expansion-consistency`` tests pin both facts down symbolically.
 
-Both recurrences build one level at a time: level n is cached per
-truncation order and computed from the cached level n - 1, so every
-level is built once however many callers ask for it.  A level requests
-the ones below it bottom-up, each of which then finds its own lower
-levels cached, so no call recurses more than one level deep and deep
-levels need no deep stack.  The full recurrence also builds each
-S[Q_k] = Q_k - nabla[Q_k] (``shift_s``) once per (level, order) and
-reuses it at every higher level; S[Q_0] = 1 is never built, and neither
-S[Q_0] nor S[Q_1] = 0 enters a product.
+The short recurrence is one forward loop that returns the whole ladder
+Q_0..Q_{n_max} and keeps nothing.  The full recurrence is a pipeline
+table: level n is cached per truncation order and built from the cached
+level n - 1, requested bottom-up so no call recurses more than one level
+deep (those lookups cost far less than a level's Cauchy products).  It
+also builds each S[Q_k] = Q_k - nabla[Q_k] (``shift_s``) once per (level,
+order) and reuses it at every higher level; S[Q_0] = 1 is never built, and
+neither S[Q_0] nor S[Q_1] = 0 enters a product.
 """
 
 from __future__ import annotations
@@ -57,25 +56,21 @@ from .combinatorics import stirling1_unsigned
 from .series import PowerSeriesInvX, backward_diff, harmonic_h, li1_power, shift_s
 
 
-@lru_cache(maxsize=None)
-def q_via_recurrence(n: int, order: int, /) -> PowerSeriesInvX:
-    """Q_n of the short family as a truncated series, via the operator
-    recurrence on the cached Q_{n-1}.
+def q_via_recurrence(n_max: int, order: int, /) -> tuple[PowerSeriesInvX, ...]:
+    """Q_0..Q_{n_max} of the short family as truncated series, via the
+    operator recurrence, one forward pass with nothing kept between calls.
 
     A verification path: together with ``q_closed_form`` it forms the
     mutually checking pair; the pipeline uses ``log_expansion_q_list``.
     """
-    if n < 0:
-        raise ValueError(f"q_via_recurrence requires n >= 0, got n={n}")
+    if n_max < 0:
+        raise ValueError(f"q_via_recurrence requires n >= 0, got n={n_max}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if n == 0:
-        return PowerSeriesInvX.constant(1, order)
-    if n == 1:
-        return PowerSeriesInvX.zero(order)  # initial data, see module docstring
-    for k in range(1, n):  # bottom-up, so a cold call recurses one level at most
-        prev = q_via_recurrence(k, order)
-    return harmonic_h(backward_diff(prev) - li1_power(n - 1, order))
+    qs = [PowerSeriesInvX.constant(1, order), PowerSeriesInvX.zero(order)]  # Q_1 = 0 is initial data
+    for k in range(1, n_max):
+        qs.append(harmonic_h(backward_diff(qs[k]) - li1_power(k, order)))
+    return tuple(qs[: n_max + 1])
 
 
 def q_closed_form(n_plus_1: int, s: int) -> Fraction:

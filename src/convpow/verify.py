@@ -127,9 +127,12 @@ def suite_stirling(n_max: int = 6) -> list[Check]:
 
 def suite_dualpath(n_max: int = 8, s_max: int = 40) -> list[Check]:
     """Recurrence and closed-form coefficients agree exactly; zero pattern holds."""
+    if s_max < 1:
+        raise ValueError(f"suite dualpath truncates the Q series at order s_max, so it needs s_max >= 1, got {s_max}")
     checks = []
+    ladder = q_via_recurrence(max(n_max, 0), s_max)  # n_max < 2 makes no check
     for n in range(2, n_max + 1):
-        rec = q_via_recurrence(n, s_max).coeffs
+        rec = ladder[n].coeffs
         bad = []
         for s in range(s_max + 1):
             cf = q_closed_form(n, s)

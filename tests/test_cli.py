@@ -238,6 +238,8 @@ def test_verify_dualpath_args(capsys):
         (["verify", "specials", "--smax", "-1"], "needs s_max >= 0"),
         (["verify", "derivative", "--y", "0"], "got h=0.0001, y=0.0"),
         (["verify", "derivative", "--y", "1e-9"], "got h=0.0001, y=1e-09"),
+        (["verify", "dualpath", "--smax", "0"], "needs s_max >= 1, got 0"),
+        (["verify", "dualpath", "--smax", "-2"], "needs s_max >= 1, got -2"),
     ],
 )
 def test_verify_ignored_flag_or_no_checks_is_usage_error(capsys, argv, reason):

@@ -16,12 +16,12 @@ F = Fraction
 
 
 def test_initial_data():
-    assert q_via_recurrence(0, 6) == PowerSeriesInvX.constant(1, 6)
-    assert q_via_recurrence(1, 6) == PowerSeriesInvX.zero(6)
+    assert q_via_recurrence(0, 6) == (PowerSeriesInvX.constant(1, 6),)
+    assert q_via_recurrence(1, 6) == (PowerSeriesInvX.constant(1, 6), PowerSeriesInvX.zero(6))
 
 
 def test_q2_is_dilogarithm():
-    q2 = q_via_recurrence(2, 20)
+    q2 = q_via_recurrence(2, 20)[2]
     assert q2.coeffs[0] == 0
     assert all(q2.coeffs[k] == F(1, k * k) for k in range(1, 21))
 
@@ -38,7 +38,7 @@ def q3_bracket(k):
 
 
 def test_q3_against_bracket_oracle():
-    q3 = q_via_recurrence(3, 20)
+    q3 = q_via_recurrence(3, 20)[3]
     for k in range(2, 21):
         assert q3.coeffs[k] == q3_bracket(k)
     # the first few, frozen: note the repeated 2/3 at k=3 and k=5
@@ -53,7 +53,9 @@ def test_recurrence_input_validation():
 
 
 def test_returns_tagged_series():
-    q = q_via_recurrence(4, 10)
+    ladder = q_via_recurrence(4, 10)
+    assert len(ladder) == 5
+    q = ladder[4]
     assert isinstance(q, PowerSeriesInvX)
     assert q.order == 10
     # level 4 of the short family is the one starting 5/9 * x^{-3}
@@ -95,8 +97,9 @@ def test_closed_form_input_validation():
 
 def test_dual_paths_agree_exactly():
     order = 24
+    ladder = q_via_recurrence(5, order)
     for n in range(2, 6):
-        rec = q_via_recurrence(n, order)
+        rec = ladder[n]
         for s in range(order + 1):
             assert rec.coeffs[s] == q_closed_form(n, s), (n, s)
 
@@ -106,7 +109,7 @@ def test_q_table_entries():
     assert table[2][2] == F(1, 4)
     assert table[3][2] == F(3, 4)
     assert table[4][2] == 0
-    assert table[4] == list(q_via_recurrence(4, 6).coeffs)
+    assert table[4] == list(q_via_recurrence(4, 6)[4].coeffs)
 
 
 def test_q_table_input_validation():
@@ -122,15 +125,16 @@ def test_q_table_input_validation():
 
 def test_families_coincide_through_level_three():
     full = log_expansion_q_list(3, 16)
+    short = q_via_recurrence(3, 16)
     for n in range(4):
-        assert full[n] == q_via_recurrence(n, 16)
+        assert full[n] == short[n]
 
 
 def test_families_split_at_level_four():
     full = log_expansion_q_list(5, 8)
     assert full[4].coeffs[:6] == (0, 0, F(1, 2), F(41, 36), F(509, 288), F(1937, 720))
     assert full[5].coeffs[:6] == (0, 0, 0, F(3, 4), F(69, 32), F(771, 160))
-    short4 = q_via_recurrence(4, 8)
+    short4 = q_via_recurrence(4, 8)[4]
     assert short4.coeffs[:6] == (0, 0, 0, F(5, 9), F(9, 8), F(59, 30))
     assert full[4] != short4
 
@@ -146,19 +150,32 @@ def test_level_four_cross_term_by_hand():
     assert full[4] == harmonic_h(-bracket)
 
 
-def test_each_level_is_built_once():
+def test_each_level_is_built_once(monkeypatch):
     log_expansion_q_list.cache_clear()
-    q_via_recurrence.cache_clear()
     lists = [log_expansion_q_list(n, 64) for n in range(11)]
     assert log_expansion_q_list.cache_info().misses == 11
     for n in range(11):
         for k in range(n):
             assert all(lists[k][j] is lists[n][j] for j in range(k + 1)), (k, n)
-    top = q_via_recurrence(10, 64)
-    assert q_via_recurrence.cache_info().misses == 10  # levels 1..10; Q_1 is initial data
-    assert q_via_recurrence(10, 64) is top
-    assert all(q_via_recurrence(n, 64) is q_via_recurrence(n, 64) for n in range(1, 10))
-    assert q_via_recurrence.cache_info().misses == 10
+    # the short family is one forward pass: one H per level 2..10, no call
+    # to itself, and nothing kept, so a second call builds the ladder again
+    integrations, requests = [], []
+
+    def counting_h(g):
+        integrations.append(g)
+        return harmonic_h(g)
+
+    def counting_q(*args):
+        requests.append(args)
+        return q_via_recurrence(*args)
+
+    monkeypatch.setattr(qcoeff, "harmonic_h", counting_h)
+    monkeypatch.setattr(qcoeff, "q_via_recurrence", counting_q)
+    top = qcoeff.q_via_recurrence(10, 64)
+    assert (len(integrations), requests) == (9, [(10, 64)])
+    again = qcoeff.q_via_recurrence(10, 64)
+    assert (len(integrations), len(requests)) == (18, 2)
+    assert again == top and again[10] is not top[10]
 
 
 DEEP_LEVELS = """
@@ -168,14 +185,16 @@ from convpow.qcoeff import log_expansion_q_list, q_via_recurrence
 sys.setrecursionlimit(40)
 log_expansion_q_list(50, 8)
 q_via_recurrence(50, 8)
+q_via_recurrence(3000, 2)
 beta_table(50, 8, 64)
 print("reached level 50")
 """
 
 
 def test_cold_levels_above_the_recursion_limit():
-    # each of these requests its lower levels bottom-up, so a cold call to
-    # level 50 needs far fewer than 50 frames
+    # the pipeline tables request their lower levels bottom-up and the short
+    # family is one forward loop, so a cold call to level 50 (or 3000) needs
+    # far fewer than 50 frames
     src = os.path.dirname(os.path.dirname(qcoeff.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", DEEP_LEVELS], capture_output=True, env=env, text=True, timeout=300)
@@ -310,7 +329,7 @@ def test_log_expansion_family_satisfies_chain_rule(n):
 
 
 def test_short_family_satisfies_chain_rule_only_below_four():
-    qs = [q_via_recurrence(n, 16) for n in range(5)]
+    qs = q_via_recurrence(4, 16)
     lhs, _, rhs = _chain_rule_parts(qs, 3)
     assert all(lhs[i] == rhs[i] for i in range(3))
     lhs, _, rhs = _chain_rule_parts(qs, 4)
