@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -241,6 +242,8 @@ def cmd_verify(args):
             continue
         if flag not in takes:
             raise ValueError(f"verify {args.suite} does not take --{flag}")
+        if flag == "y" and not math.isfinite(value):
+            raise ValueError(f"--y must be finite, got {value}")
         kwargs[takes[flag]] = (value,) if flag in ("n", "y") else value
     checks = verify_mod.run_suite(args.suite, **kwargs)
     if not checks:

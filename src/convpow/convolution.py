@@ -40,13 +40,13 @@ _ORACLE_MAX_PANELS = 1 << 16
 
 
 class ConvParams:
-    """Kernel parameters: cutoff ``lam`` and shift ``a``, with lam + a > 0."""
+    """Kernel parameters: finite cutoff ``lam`` and shift ``a``, with lam + a > 0."""
 
     __slots__ = ("lam", "a")
 
     def __init__(self, lam: float, a: float):
-        if not lam + a > 0:
-            raise ValueError(f"need lam + a > 0, got lam={lam}, a={a}")
+        if not (math.isfinite(lam) and math.isfinite(a) and lam + a > 0):
+            raise ValueError(f"need finite lam and a with lam + a > 0, got lam={lam}, a={a}")
         self.lam = lam
         self.a = a
 

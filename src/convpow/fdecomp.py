@@ -24,11 +24,13 @@ float is.  Part j >= 1 is P_{n-j} / j!, with P_m = sum_{i=0}^{m} (-1)^i
 beta_{m-i} Q_i, and part 0 is P_n without its term beta_n.  The beta
 constants are forced by f_n(0) = 0 for n >= 1:
 
-    beta_n = -G_n(n),    f_n(y) = G_n(y + n) + beta_n,
+    f_n(y) = G_n(y + n) + beta_n,    so    beta_n = -G_n(n),
 
-from beta_0 = 1; beta_1 = 0 exactly, as G_1 = ln(x) vanishes at x = 1 (the
-one evaluation at x = 1; everything else requires x > 1).  f_n(0) replays
-the operations that gave beta_n, so it is exactly 0.  ``beta_table(n)``
+from beta_0 = 1.  ``BetaTable.eval`` is the one evaluation of G_n: beta_n
+and its tail are read off f_n(0) of the level built with beta_n = 0, so
+the condition is written once and f_n(0) = G_n(n) - G_n(n) is exactly 0.
+beta_1 = 0 exactly, as G_1 = ln(x) vanishes at x = 1 (the one evaluation
+at x = 1; everything else requires x > 1).  ``beta_table(n)``
 forms G_n from G_{n-1}: part 0, sum_{i=2}^{n} (-1)^i beta_{n-i} Q_i
 (Q_1 = 0), in one integer pass (``PowerSeriesInvX._combination``); part 1,
 G_{n-1}'s part 0 plus beta_{n-1}; part j >= 2, G_{n-1}'s part j - 1 over
@@ -43,8 +45,8 @@ Tails: each part of G_n carries its geometric tail model (see `series`),
 and what the tails of beta_0..beta_{n-1} carry into f_n at x >= n is
 bounded by sum_j |ln x|^j b_j, b_j = (1/j!) sum_{k<n} tail(beta_k)
 |Q_{n-k-j}|(n), since |Q|(x), Q with absolute coefficients, falls as x
-grows.  tail(beta_n) is G_n's tail at x = n with that term; f_n's adds
-tail(beta_n).
+grows.  tail(beta_n) is the tail of f_n(0) with beta_n = 0, G_n's at
+x = n with that term; f_n's adds tail(beta_n).
 
 Everything here is evaluated, not symbolic: beta values are mpmath floats
 carrying accumulated truncation-tail estimates, and the residual helpers
@@ -123,27 +125,20 @@ class BetaTable:
         return self.values[k]
 
     def eval(self, y) -> EvalResult:
-        """f_n(y) = G_n(y + n) + beta_n for y >= 0, n = len(self) - 1;
-        f_n(0) = 0 for n >= 1 by construction."""
+        """f_n(y) = G_n(y + n) + beta_n for y >= 0, n = len(self) - 1, its tail
+        with sum_j |ln x|^j b_j; f_n(0) = 0 for n >= 1 by construction."""
         yf = _exact(y)
         if yf < 0:
             raise ValueError(f"f is only defined for y >= 0, got y={yf}")
         n, prec = len(self.values) - 1, self.prec
-        value, tail, reliable = _g_at(self._g, self._b, _Point(yf + n, prec))
-        value = mpf_add(value, self.values[n]._mpf_, prec, round_nearest)
-        tail = mpf_add(tail, self.tails[n]._mpf_, prec, round_nearest)
-        return EvalResult(_make_mpf(value), _make_mpf(tail), reliable)
-
-
-def _g_at(g: tuple[PowerSeriesInvX, ...], b: tuple, at: _Point) -> tuple:
-    """(value, tail, reliable) of G_n at x, the tail with the beta_k's term
-    sum_j |ln x|^j b_j added, the floats as ``_mpf_`` tuples."""
-    r = logseries_eval(g, at, at.prec)
-    prec, tail = at.prec, r.tail_estimate._mpf_
-    if b:  # empty for f_0, whose x = y may be 0, and f_1
-        for weight, bj in zip(at.ln_weights(len(b) - 1)[1], b):
+        at = _Point(yf + n, prec)
+        r = logseries_eval(self._g, at, prec)
+        tail = r.tail_estimate._mpf_
+        for weight, bj in zip(at.ln_weights(len(self._b) - 1)[1], self._b):  # f_0, f_1: no b_j, no ln x (f_0's x may be 0)
             tail = mpf_add(tail, mpf_mul(weight, bj, prec, round_nearest), prec, round_nearest)
-    return r.value._mpf_, tail, r.tail_reliable
+        value = mpf_add(r.value._mpf_, self.values[n]._mpf_, prec, round_nearest)
+        tail = mpf_add(tail, self.tails[n]._mpf_, prec, round_nearest)
+        return EvalResult(_make_mpf(value), _make_mpf(tail), r.tail_reliable)
 
 
 def _abs_sum(q: PowerSeriesInvX, n: int, prec: int) -> tuple:
@@ -159,8 +154,9 @@ def beta_table(n_max: int, order: int, prec: int, /) -> BetaTable:
 
     Level n_max extends the cached table of level n_max - 1 by one row: it
     forms G_{n_max} from G_{n_max - 1} and one new part 0 (see the module
-    docstring), and evaluates it at x = n_max once.  The lower levels are
-    requested bottom-up, so a cold call recurses one level at most.
+    docstring), and reads beta_{n_max} off f_{n_max}(0) with beta_{n_max} = 0,
+    G_{n_max} at x = n_max.  The lower levels are requested bottom-up, so a
+    cold call recurses one level at most.
     """
     if n_max < 0:
         raise ValueError(f"beta index must be >= 0, got {n_max}")
@@ -180,9 +176,10 @@ def beta_table(n_max: int, order: int, prec: int, /) -> BetaTable:
     abs_q = [fone, fzero] + [_abs_sum(q, n, prec) for q in qs[2 : n - 1]]  # |Q_0| = 1, |Q_1| = 0
     sums = [mpf_sum([mpf_mul(tails[k]._mpf_, abs_q[n - k - j]) for k in range(2, min(n, n - j + 1))]) for j in range(n - 1)]
     b = tuple(mpf_div(acc, from_int(math.factorial(j)), prec, round_nearest) for j, acc in enumerate(sums))
-    value, tail, _ = _g_at(g, b, _Point(Fraction(n), prec))
-    value, tail = _make_mpf(mpf_neg(value, prec, round_nearest)), _make_mpf(tail)
-    return BetaTable(betas + (value,), tails + (tail,), prec, g, b)
+    # with beta_n = 0 the level's f_n(0) is G_n(n) and its tail; beta_n makes f_n(0) = 0
+    zero = mpmath.mpf(0)
+    at_zero = BetaTable(betas + (zero,), tails + (zero,), prec, g, b).eval(0)
+    return BetaTable(betas + (_make_mpf(mpf_neg(at_zero.value._mpf_)),), tails + (at_zero.tail_estimate,), prec, g, b)
 
 
 def make_f_evaluator(n: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC) -> BetaTable:

@@ -47,11 +47,13 @@ nor changed.  Only the ``EvalResult`` fields are ``mpf``.
 
 ``series_eval`` and ``logseries_eval`` take a number or a point prepared
 at their precision (``_Point``): the parts of one polynomial in ln(x)
-share the point's powers and ln(x).
+share the point's memo per order N (odd^0..odd^N, p^N, x^(-N)) and its
+ln(x), which is taken once, and only for a part of ln-degree >= 1.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -159,10 +161,6 @@ class PowerSeriesInvX:
     def order(self) -> int:
         return len(self.ints) - 1
 
-    @property
-    def is_constant(self) -> bool:
-        return not any(self.ints[1:])
-
     def _require_same_order(self, other: "PowerSeriesInvX") -> None:
         if self.order != other.order:
             raise ValueError(
@@ -181,7 +179,7 @@ class PowerSeriesInvX:
         """
         got = self._floats.get(prec)
         if got is None:
-            if self.is_constant:
+            if not any(self.ints[1:]):
                 got = (_to_mpf(self.coeff(0), prec), None, None, None)
             else:
                 last, prev = abs(self.ints[-1]), abs(self.ints[-2])
@@ -360,13 +358,13 @@ class _Point:
     """An evaluation point x = p/q, prepared once at one precision for every
     series evaluated at it.
 
-    It keeps q = odd * 2^shift, the powers of odd (none for a float
-    point, where odd = 1) and, as ``_mpf_`` tuples at its precision, x
-    itself, p^N and x^(-N) per order N and the powers of ln x.  A point
-    lives for one evaluation; nothing is kept beyond it.
+    It keeps q = odd * 2^shift, x itself as an ``_mpf_`` tuple at its
+    precision, one memo per order N (``floats``) and the powers of ln x,
+    whose ln x is taken once, when a part of ln-degree >= 1 first asks.  A
+    point lives for one evaluation; nothing is kept beyond it.
     """
 
-    __slots__ = ("x", "prec", "_shift", "_odd", "_opow", "_mpf", "_floats", "_weights")
+    __slots__ = ("x", "prec", "_shift", "_odd", "_mpf", "_floats", "_weights")
 
     def __init__(self, xf: Fraction, prec: int):
         self.x = xf
@@ -374,36 +372,26 @@ class _Point:
         q = xf.denominator
         self._shift = (q & -q).bit_length() - 1
         self._odd = q >> self._shift
-        self._opow = [1]  # odd^0, odd^1, ..., grown to the largest order asked
         self._mpf = _to_mpf(xf, prec)
-        self._floats = {}  # N -> (p^N, x^(-N))
-        self._weights = None  # ([ln(x)^j], [|ln(x)|^j], ln(x))
-
-    def powers(self, n: int) -> list[int] | None:
-        """odd^0..odd^n, or None when odd = 1."""
-        if self._odd == 1:
-            return None
-        opow = self._opow
-        while len(opow) <= n:
-            opow.append(opow[-1] * self._odd)
-        return opow
+        self._floats = {}  # N -> floats(N)
+        self._weights = ([fone], [fone])  # ln(x)^j and |ln(x)|^j, j = 0.., grown on request
 
     def floats(self, n: int):
+        """(odd^0..odd^n or None when odd = 1, p^n, x^(-n)), the floats as ``_mpf_``."""
         got = self._floats.get(n)
         if got is None:
+            opow = None if self._odd == 1 else list(itertools.accumulate([self._odd] * n, operator.mul, initial=1))
             x_pow = mpf_pow_int(self._mpf, -n, self.prec, round_nearest)
-            got = self._floats[n] = (from_int(self.x.numerator**n, self.prec, round_nearest), x_pow)
+            got = self._floats[n] = (opow, from_int(self.x.numerator**n, self.prec, round_nearest), x_pow)
         return got
 
     def ln_weights(self, degree: int):
         """ln(x)^0..ln(x)^degree by repeated products, and their absolute values."""
-        prec = self.prec
-        if self._weights is None:
-            self._weights = ([fone], [fone], mpf_log(self._mpf, prec, round_nearest))
-        weights, abs_weights, lnx = self._weights
-        while len(weights) <= degree:
-            weights.append(mpf_mul(weights[-1], lnx, prec, round_nearest))
-            abs_weights.append(mpf_abs(weights[-1], prec, round_nearest))
+        weights, abs_weights = self._weights
+        while len(weights) <= degree:  # weights[1] is ln(x) itself, taken on the first pass
+            lnx = weights[1] if len(weights) > 1 else mpf_log(self._mpf, self.prec, round_nearest)
+            weights.append(mpf_mul(weights[-1], lnx, self.prec, round_nearest))
+            abs_weights.append(mpf_abs(weights[-1], self.prec, round_nearest))
         return weights, abs_weights
 
 
@@ -438,7 +426,7 @@ def series_eval(g: PowerSeriesInvX, x, prec: int = DEFAULT_PREC) -> EvalResult:
     p, q, abscissa = at.x.numerator, at.x.denominator, g.conv_abscissa
     if p * abscissa.denominator < abscissa.numerator * q:
         raise ValueError(f"evaluation point {at.x} is below the convergence abscissa {abscissa}")
-    p_n, x_pow = at.floats(g.order)
+    opow, p_n, x_pow = at.floats(g.order)
     reliable, tail = True, fzero
     if ratio is not None:
         u, v = ratio[0] * q, ratio[1] * p
@@ -448,7 +436,7 @@ def series_eval(g: PowerSeriesInvX, x, prec: int = DEFAULT_PREC) -> EvalResult:
             gap, whole = from_int((v - u) // r, prec, round_nearest), from_int(v // r, prec, round_nearest)
             one_minus_rho = mpf_div(gap, whole, prec, round_nearest)
         tail = mpf_div(mpf_mul(abs_last, x_pow, prec, round_nearest), one_minus_rho, prec, round_nearest)
-    numerator = from_int(_horner(g.ints, p, at._shift, at.powers(g.order)), prec, round_nearest)
+    numerator = from_int(_horner(g.ints, p, at._shift, opow), prec, round_nearest)
     value = mpf_div(numerator, mpf_mul(den, p_n, prec, round_nearest), prec, round_nearest)
     return EvalResult(_make_mpf(value), _make_mpf(tail), reliable)
 
@@ -456,24 +444,21 @@ def series_eval(g: PowerSeriesInvX, x, prec: int = DEFAULT_PREC) -> EvalResult:
 def logseries_eval(parts: tuple[PowerSeriesInvX, ...], x, prec: int = DEFAULT_PREC) -> EvalResult:
     """Evaluate sum_j parts[j] * ln(x)^j; tails of the parts combine with |ln x|^j weights.
 
-    x may be a ``_Point`` as in ``series_eval``, whose ln(x) and powers
-    the caller shares.
+    Every part takes its weight, part 0 the exact ln(x)^0 = 1.  x may be a
+    ``_Point`` as in ``series_eval``, whose memo per order and ln(x) the
+    caller shares.
     """
     if not parts:
         raise ValueError("a polynomial in ln(x) needs at least its ln-degree-0 part")
     at = _point(x, prec)
-    if len(parts) > 1:
-        if at.x.numerator <= 0:
-            raise ValueError(f"ln(x) requires x > 0, got {at.x}")
-        weights, abs_weights = at.ln_weights(len(parts) - 1)
+    if len(parts) > 1 and at.x.numerator <= 0:
+        raise ValueError(f"ln(x) requires x > 0, got {at.x}")
+    weights, abs_weights = at.ln_weights(len(parts) - 1)
     value, tail, reliable = fzero, fzero, True
     for j, part in enumerate(parts):
         if not any(part.ints):
             continue  # adding an exact 0 to a sum already rounded to prec changes no bit
         r = series_eval(part, at, prec)
-        if not j:  # part 0's weight is ln(x)^0 = 1, and its value is already rounded to prec
-            value, tail, reliable = r.value._mpf_, r.tail_estimate._mpf_, r.tail_reliable
-            continue
         value = mpf_add(value, mpf_mul(r.value._mpf_, weights[j], prec, round_nearest), prec, round_nearest)
         tail = mpf_add(tail, mpf_mul(r.tail_estimate._mpf_, abs_weights[j], prec, round_nearest), prec, round_nearest)
         reliable = reliable and r.tail_reliable

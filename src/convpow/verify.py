@@ -258,7 +258,7 @@ def suite_derivative(
     h = 1e-4
     for n in ns:
         for y in ys:
-            res = derivative_residual(n, Fraction(y), Fraction(h))
+            res = derivative_residual(n, y, Fraction(h))
             checks.append(Check(f"derivative n={n} y={y}", res <= 1e-6, f"residual = {res:.3g} at h={h:g}"))
     r1 = derivative_residual(2, 1, Fraction(h))
     r2 = derivative_residual(2, 1, Fraction(h) / 2)

@@ -190,7 +190,19 @@ def test_eval_domain_error(capsys):
     assert "n must be" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["eval", "3", "inf", "--skip-oracles"], ["eval", "--conv", "2", "inf"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "3", "inf", "--skip-oracles"],
+        ["eval", "--conv", "2", "inf"],
+        ["verify", "derivative", "--y", "inf"],
+        ["verify", "derivative", "--y", "nan"],
+        ["verify", "elimination", "--y", "nan"],
+        ["verify", "elimination", "--y", "inf"],
+        ["eval", "--conv", "2", "1", "--a", "inf"],
+        ["eval", "2", "1", "--lam", "inf", "--skip-oracles"],
+    ],
+)
 def test_eval_non_finite_point(capsys, argv):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err

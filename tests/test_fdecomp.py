@@ -175,6 +175,10 @@ def test_fn_vanishes_at_zero():
     # evaluation replays the same float operations, so this is exact
     for n in (1, 2, 3, 4):
         assert float(f_eval(n, 0)) == 0.0
+    # beta_n is read off the level's own f_n(0), so the zero is exact at every level and setting
+    for order, prec in ((64, 128), (40, 96), (24, 53)):
+        for n in range(1, 13):
+            assert make_f_evaluator(n, order, prec).eval(0).value._mpf_ == fzero, (n, order, prec)
 
 
 def test_f2_closed_form():

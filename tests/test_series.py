@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import mpf_div, mpf_mul, mpf_pow_int, round_nearest
 
 from convpow import series
+from convpow.qcoeff import log_expansion_q_list
 from convpow.series import (
     EvalResult,
     PowerSeriesInvX,
@@ -251,6 +252,12 @@ def test_a_point_serves_one_precision():
         series_eval(f, at, 128)
     with pytest.raises(ValueError, match="prepared at 96 bits"):
         logseries_eval((f, f), at, 128)
+    # one point serves series of several orders at an odd denominator, in either order
+    x, short, long = Fraction(29, 7), PowerSeriesInvX([0, 1, F(1, 2), F(1, 3)]), log_expansion_q_list(4, 40)[4]
+    for pair in ((short, long), (long, short)):
+        shared = series._Point(x, 96)
+        for g in pair:
+            assert series_eval(g, shared, 96) == series_eval(g, x, 96)
 
 
 @st.composite
