@@ -42,7 +42,7 @@ from .convolution import (
 )
 from .fdecomp import beta_table, f_eval
 from .qcoeff import q_closed_form, q_via_recurrence
-from .quadrature import QuadratureError
+from .quadrature import TOL, QuadratureError
 from .series import DEFAULT_ORDER, DEFAULT_PREC
 
 
@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", dest="a", type=float, default=1.0, help="kernel shift for the convolution path")
     p.add_argument("--skip-oracles", action="store_true", help="series value only")
     _add_series_flags(p)
-    p.add_argument("--tol", dest="quad_tol", type=float, default=1e-10, help="quadrature tolerance")
-    p.add_argument("--compare-tol", type=float, default=1e-6, help="tolerance for cross-path comparisons")
+    p.add_argument("--tol", dest="quad_tol", type=float, default=TOL, help="quadrature tolerance")
+    p.add_argument("--compare-tol", type=float, default=verify_mod.AGREEMENT_TOL, help="tolerance for cross-path comparisons")
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(verify_mod.SUITES) + ["all"])
@@ -167,7 +167,7 @@ def _spread_check(results: dict, compare_tol: float, label: str) -> list[verify_
     results["max_pairwise_diff"] = diff
     if len(values) < 2:
         return []
-    return [verify_mod.Check(label, diff <= compare_tol, f"max pairwise diff = {diff:.3g}")]
+    return [verify_mod.within(label, "max pairwise diff", diff, compare_tol)]
 
 
 def cmd_eval(args):

@@ -27,7 +27,7 @@ import math
 from typing import Sequence
 
 from .fdecomp import f_eval
-from .quadrature import QuadratureError, adaptive_quad, cumulative_simpson_uniform
+from .quadrature import TOL, QuadratureError, adaptive_quad, cumulative_simpson_uniform
 from .series import DEFAULT_ORDER, DEFAULT_PREC
 
 #: Cost of the recursive quadrature grows exponentially with depth; it
@@ -58,7 +58,7 @@ def varphi(params: ConvParams, x: float) -> float:
     return 1.0 / (x + params.a)
 
 
-def conv_power_quadrature(params: ConvParams, n: int, x: float, tol: float = 1e-10) -> float:
+def conv_power_quadrature(params: ConvParams, n: int, x: float, tol: float = TOL) -> float:
     """phi*n(x) by recursive adaptive quadrature, for n <= DEFAULT_MAX_DEPTH.
 
     Each level integrates the previous power against the kernel over the
@@ -114,7 +114,7 @@ def reconstruct_from_f(
     return factor * float(f_eval(n - 1, y, order, prec).value)
 
 
-def f_from_conv(params: ConvParams, n: int, y: float, tol: float = 1e-10) -> float:
+def f_from_conv(params: ConvParams, n: int, y: float, tol: float = TOL) -> float:
     """f_{n-1}(y) extracted from a raw quadrature value of phi*n.
 
     The result must not depend on the kernel parameters; running this for
@@ -164,7 +164,7 @@ def _f_oracle_levels(n: int, y: float, tol: float, lowest: int) -> dict[int, flo
     )
 
 
-def f_quadrature_oracle(n: int, y: float, tol: float = 1e-10) -> float:
+def f_quadrature_oracle(n: int, y: float, tol: float = TOL) -> float:
     """f_n(y) by iterating f_k(y) = int_0^y f_{k-1}(s)/(s+k) ds numerically.
 
     Starts from f_0 = 1 on a uniform grid of ``_ORACLE_PANELS`` panels over

@@ -64,7 +64,7 @@ import mpmath
 from mpmath.libmp import fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sum, round_nearest, to_rational
 
 from .qcoeff import log_expansion_q_list
-from .quadrature import adaptive_quad
+from .quadrature import TOL, QuadratureError, adaptive_quad
 from .series import (
     DEFAULT_ORDER,
     DEFAULT_PREC,
@@ -77,9 +77,6 @@ from .series import (
     _to_mpf,
     logseries_eval,
 )
-
-#: Quadrature tolerance of both sides of the reflection identity.
-_REFLECTION_TOL = 1e-10
 
 
 def build_j_iterate(n: int, order: int, /) -> tuple[PowerSeriesInvX, ...]:
@@ -221,15 +218,21 @@ def reflection_residual(n: int, y: float) -> float:
 
         int_0^y f_n(s)/(y - s + 1) ds = (n + 1) * int_0^y f_n(s)/(s + n + 1) ds,
 
-    with both sides computed by adaptive quadrature, to ``_REFLECTION_TOL``,
+    with both sides computed by adaptive quadrature, to ``TOL``,
     over f_n evaluated at the default order and precision.
     Both quadratures sample the same nodes, so f_n is evaluated once per
-    node for the duration of the call.
+    node for the duration of the call.  From y = 2^52 on, floats near y lie
+    1 or more apart, so no node resolves the left kernel's width-1 peak at
+    s = y: QuadratureError, before any evaluation.
     """
     if n < 0:
         raise ValueError(f"f index must be >= 0, got n={n}")
     if y < 0:
         raise ValueError(f"upper limit must be >= 0, got y={y}")
+    if math.ulp(y) >= 1.0:
+        raise QuadratureError(
+            f"float resolution near y={y} is {math.ulp(y):g}, too coarse for the width-1 peak of 1/(y - s + 1) at s = y"
+        )
     ev = make_f_evaluator(n, DEFAULT_ORDER, DEFAULT_PREC)
     seen: dict[float, float] = {}
 
@@ -238,6 +241,6 @@ def reflection_residual(n: int, y: float) -> float:
             seen[s] = float(ev.eval(s).value)
         return seen[s]
 
-    lhs = adaptive_quad(lambda s: f_of(s) / (y - s + 1.0), 0.0, y, _REFLECTION_TOL)
-    rhs = adaptive_quad(lambda s: f_of(s) / (s + n + 1.0), 0.0, y, _REFLECTION_TOL)
+    lhs = adaptive_quad(lambda s: f_of(s) / (y - s + 1.0), 0.0, y, TOL)
+    rhs = adaptive_quad(lambda s: f_of(s) / (s + n + 1.0), 0.0, y, TOL)
     return abs(lhs - (n + 1) * rhs)

@@ -24,6 +24,9 @@ class QuadratureError(RuntimeError):
     """Raised when a quadrature fails to converge to the requested tolerance."""
 
 
+#: The quadrature tolerance every oracle defaults to, ``--tol`` included.
+TOL = 1e-10
+
 #: Most subintervals the adaptive integrator may split [a, b] into.
 _SUBINTERVAL_LIMIT = 200
 
@@ -101,7 +104,7 @@ def _qk21(f, a: float, b: float) -> tuple[float, float]:
     return resk * half, err
 
 
-def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> float:
+def adaptive_quad(f, a: float, b: float, tol: float = TOL) -> float:
     """Adaptive Gauss-Kronrod 10/21 integral of f over [a, b].
 
     Applies ``_qk21`` to [a, b], then bisects the piece with the largest

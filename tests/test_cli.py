@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -233,6 +234,26 @@ def test_verify_reflection_stall_is_a_failed_check(capsys):
     assert "did not converge" in payload["checks"][0]["detail"]
 
 
+@pytest.mark.parametrize("n, y", [("1", "1e30"), ("4", "1e300")])
+def test_verify_reflection_beyond_float_resolution_fails_at_once(capsys, n, y):
+    # from y = 2^52 on no float node resolves the kernel's width-1 peak at s = y
+    started = time.perf_counter()
+    rc = cli.main(["verify", "reflection", "--n", n, "--y", y])
+    elapsed = time.perf_counter() - started
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 1 and elapsed < 2.0
+    assert (payload["results"]["total"], payload["results"]["passed"]) == (1, 0)
+    assert payload["checks"][0]["detail"].startswith(f"float resolution near y={float(y)} is ")
+
+
+def test_verify_derivative_beyond_the_rounding_floor_names_it(capsys):
+    rc, payload = run_json(capsys, ["verify", "derivative", "--n", "1", "--y", "1e40"])
+    assert rc == 1
+    point = payload["checks"][0]
+    assert (point["name"], point["ok"]) == ("derivative n=1 y=1e+40", False)
+    assert point["detail"].startswith("rounding floor (y + n)|f_n(y)|/(2^128 h) = ")
+
+
 def test_verify_dualpath_args(capsys):
     rc, payload = run_json(capsys, ["verify", "dualpath", "--nmax", "3", "--smax", "6"])
     assert rc == 0
@@ -252,6 +273,9 @@ def test_verify_dualpath_args(capsys):
         (["verify", "derivative", "--y", "1e-9"], "got h=0.0001, y=1e-09"),
         (["verify", "dualpath", "--smax", "0"], "needs s_max >= 1, got 0"),
         (["verify", "dualpath", "--smax", "-2"], "needs s_max >= 1, got -2"),
+        (["qcoeff", "-1", "3"], "level must be >= 0"),
+        (["beta", "-1"], "nmax must be >= 0"),
+        (["eval", "2", "-1"], "y must be >= 0"),
     ],
 )
 def test_verify_ignored_flag_or_no_checks_is_usage_error(capsys, argv, reason):
