@@ -8,38 +8,11 @@ the `verify` module bundles those cross-checks into named suites and the
 command line exposes them.
 """
 
-from .series import (
-    DEFAULT_ORDER,
-    DEFAULT_PREC,
-    EvalResult,
-    PowerSeriesInvX,
-    backward_diff,
-    harmonic_h,
-    li1_power,
-    logseries_eval,
-    series_eval,
-    shift_s,
-)
-from .amatrix import a_determinant, check_special_values, compute_a_matrix
+from .series import DEFAULT_ORDER, DEFAULT_PREC, EvalResult, PowerSeriesInvX
+from .amatrix import compute_a_matrix
 from .qcoeff import log_expansion_q_list, q_closed_form, q_via_recurrence
-from .fdecomp import (
-    BetaTable,
-    beta_table,
-    build_j_iterate,
-    derivative_residual,
-    f_eval,
-    make_f_evaluator,
-    reflection_residual,
-)
-from .convolution import (
-    ConvParams,
-    conv_power_quadrature,
-    f_from_conv,
-    f_quadrature_oracle,
-    j_iterate_from_f_oracle,
-    reconstruct_from_f,
-    varphi,
-)
+from .fdecomp import BetaTable, beta_table, f_eval, make_f_evaluator
+from .convolution import ConvParams, conv_power_quadrature, f_from_conv, f_quadrature_oracle, reconstruct_from_f
 from .quadrature import QuadratureError
 
 __all__ = [
@@ -50,30 +23,17 @@ __all__ = [
     "EvalResult",
     "PowerSeriesInvX",
     "QuadratureError",
-    "a_determinant",
-    "backward_diff",
     "beta_table",
-    "build_j_iterate",
-    "check_special_values",
     "compute_a_matrix",
     "conv_power_quadrature",
-    "derivative_residual",
     "f_eval",
     "f_from_conv",
     "f_quadrature_oracle",
-    "harmonic_h",
-    "j_iterate_from_f_oracle",
-    "li1_power",
     "log_expansion_q_list",
-    "logseries_eval",
     "make_f_evaluator",
     "q_closed_form",
     "q_via_recurrence",
     "reconstruct_from_f",
-    "reflection_residual",
-    "series_eval",
-    "shift_s",
-    "varphi",
 ]
 
 __version__ = "0.1.0"

@@ -298,7 +298,8 @@ def main(argv=None) -> int:
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     try:
         if args.fmt == "csv":
-            _emit_csv(results, checks, sys.stdout)
+            # eval's table is its values; the exit status reports its checks
+            _emit_csv(results, () if args.command == "eval" else checks, sys.stdout)
         else:
             payload = {
                 "command": args.command,

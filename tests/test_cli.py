@@ -2,6 +2,7 @@ import argparse
 import ast
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import convpow
 import convpow.cli as cli
 from convpow.series import PowerSeriesInvX
 
@@ -307,6 +309,20 @@ def test_csv_output_checks_fallback(capsys):
     assert set(reader.fieldnames) >= {"name", "ok"}
 
 
+@pytest.mark.parametrize("argv", [["eval", "1", "1"], ["eval", "--conv", "2", "1"]])
+def test_eval_csv_lists_the_values_whether_or_not_the_oracles_run(capsys, argv):
+    tables = []
+    for extra in ([], ["--skip-oracles"]):
+        assert cli.main([*argv, *extra, "--format", "csv"]) == 0
+        tables.append({r["key"]: r["value"] for r in csv.DictReader(io.StringIO(capsys.readouterr().out))})
+    with_oracles, series_only = tables
+    assert with_oracles.keys() == series_only.keys()
+    assert with_oracles["series"] == series_only["series"]
+    assert series_only["quadrature"] == series_only["reconstruction"] == ""
+    for key in ("quadrature", "reconstruction"):
+        assert float(with_oracles[key]) == pytest.approx(float(with_oracles["series"]), abs=1e-9)
+
+
 def test_order_flag(capsys):
     rc, payload = run_json(capsys, ["beta", "1", "-N", "48"])
     assert payload["config"]["order"] == 48
@@ -335,6 +351,15 @@ def test_closed_stdout_pipe(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr == ""
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("argv, status", [(["qcoeff", "2", "3"], 0), (["eval", "1", "-1"], 2)])
+def test_console_script_exits_with_the_status_of_main(capsys, monkeypatch, argv, status):
+    assert 'convpow = "convpow.cli:run"' in (README.parent / "pyproject.toml").read_text()
+    monkeypatch.setattr(sys, "argv", ["convpow", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == status
 
 
 def test_deep_level_is_not_a_traceback():
@@ -417,6 +442,26 @@ def test_readme_lists_every_flag_of_every_subcommand():
         flags = {o for action in parser._actions for o in action.option_strings} - {"-h", "--help"}
         # both ways: each flag is documented, and each documented flag exists
         assert readme[name] == flags, name
+
+
+def _readme_library_tour() -> list[dict[str, set[str]]]:
+    """Per table of README's library tour, the names each module row lists."""
+    section = README.read_text().split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    tables = []
+    for block in section.split("\n\n"):
+        rows = [line.split("|") for line in block.splitlines() if line.startswith("| `convpow.")]
+        if rows:
+            tables.append({row[1].strip(" `"): set(re.findall(r"`(\w+)`", row[2])) for row in rows})
+    return tables
+
+
+def test_readme_library_tour_is_the_package_surface():
+    exported, elsewhere = _readme_library_tour()
+    assert set().union(*exported.values()) == set(convpow.__all__)
+    assert not set().union(*elsewhere.values()) & set(convpow.__all__)
+    for table in (exported, elsewhere):
+        for module, names in table.items():
+            assert all(hasattr(importlib.import_module(module), name) for name in names), module
 
 
 # The acceptance commands of the bit-for-bit changes, and a sha256 over

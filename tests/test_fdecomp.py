@@ -204,6 +204,8 @@ def test_f_independent_of_truncation():
 def test_f_eval_validation():
     with pytest.raises(ValueError):
         f_eval(2, -0.5)
+    with pytest.raises(TypeError, match="int, float or Fraction, got str"):
+        f_eval(1, "1")
     with pytest.raises(ValueError):
         make_f_evaluator(-1)
 

@@ -38,6 +38,40 @@ small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 
 # ---------------------------------------------------------------------------
+# construction, and what a series does not combine with
+
+
+@pytest.mark.parametrize(
+    "coeffs, abscissa, match",
+    [([], 1, "constant coefficient"), ([1, 2], F(1, 2), "conv_abscissa must be >= 1")],
+)
+def test_constructor_validation(coeffs, abscissa, match):
+    with pytest.raises(ValueError, match=match):
+        PowerSeriesInvX(coeffs, abscissa)
+
+
+@pytest.mark.parametrize(
+    "combine",
+    [lambda g: g + 1, lambda g: g - 1, lambda g: g * 1.5, lambda g: 1.5 * g],
+    ids=["g+1", "g-1", "g*1.5", "1.5*g"],
+)
+def test_arithmetic_with_a_non_series_is_refused(combine):
+    # + and - take series only, * takes series, ints and Fractions
+    with pytest.raises(TypeError):
+        combine(li1_power(1, 4))
+
+
+def test_equality_with_a_non_series_is_false():
+    assert PowerSeriesInvX.constant(1, 4) != 1
+    assert not PowerSeriesInvX.constant(1, 4) == "1"
+
+
+def test_repr_shows_four_coefficients_order_and_abscissa():
+    assert repr(li1_power(1, 5)) == "PowerSeriesInvX([0, 1, 1/2, 1/3, ...], order=5, abscissa=1)"
+    assert repr(PowerSeriesInvX([F(1, 3), 2], 3)) == "PowerSeriesInvX([1/3, 2], order=1, abscissa=3)"
+
+
+# ---------------------------------------------------------------------------
 # multiplication
 
 
@@ -297,6 +331,8 @@ def test_li1_power_basics():
     assert li1_power(2, 5).coeffs[3] == F(1, 2)
     with pytest.raises(ValueError):
         li1_power(-1, 5)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        li1_power(2, -1)
 
 
 def test_li1_power_leading_zeros():

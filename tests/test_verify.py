@@ -1,9 +1,11 @@
-"""The verify module's own rules: the bound-check builder, the failure
-branches of the dual-path suite, and the resolution limits of the
-reflection and derivative suites."""
+"""The verify module's own rules: the suite lookup, the bound-check
+builder, the failure branches of the dual-path suite, and the resolution
+limits of the reflection and derivative suites."""
 
 import math
 from fractions import Fraction
+
+import pytest
 
 from convpow import verify
 from convpow.series import PowerSeriesInvX
@@ -16,6 +18,11 @@ def test_within_is_observed_at_most_bound():
     nan = verify.within("nan", "max pairwise diff", math.nan, 1.0)
     assert (nan.ok, nan.detail) == (False, "max pairwise diff = nan")
     assert verify.within("fmt", "|quad - closed|", 1.23456e-12, 1e-9).detail == "|quad - closed| = 1.23e-12"
+
+
+def test_run_suite_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suite("nope")
 
 
 def test_dualpath_names_a_mismatched_coefficient(monkeypatch):
