@@ -298,8 +298,8 @@ def main(argv=None) -> int:
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     try:
         if args.fmt == "csv":
-            # eval's table is its values; the exit status reports its checks
-            _emit_csv(results, () if args.command == "eval" else checks, sys.stdout)
+            # eval's and amatrix's tables are their values; the exit status reports their checks
+            _emit_csv(results, () if args.command in ("eval", "amatrix") else checks, sys.stdout)
         else:
             payload = {
                 "command": args.command,

@@ -33,11 +33,12 @@ beta_1 = 0 exactly, as G_1 = ln(x) vanishes at x = 1 (the one evaluation
 at x = 1; everything else requires x > 1).  ``beta_table(n)``
 forms G_n from G_{n-1}: part 0, sum_{i=2}^{n} (-1)^i beta_{n-i} Q_i
 (Q_1 = 0), in one integer pass (``PowerSeriesInvX._combination``); part 1,
-G_{n-1}'s part 0 plus beta_{n-1}; part j >= 2, G_{n-1}'s part j - 1 over
-j.  Its table is f_n's evaluator (``make_f_evaluator``).  A point at level
-n >= 2 makes one ``logseries_eval`` of G_n: n - 1 exact Horners (parts
-0..n-2 hold Q_2..Q_n; part n - 1, P_1 = beta_1 - Q_1, is 0) and n
-``series_eval`` calls, 9 at n = 9.  The floats are ``mpmath.libmp``
+G_{n-1}'s part 0 with beta_{n-1} added to its constant; part j >= 2,
+G_{n-1}'s part j - 1 over j.  Its table is f_n's evaluator
+(``make_f_evaluator``).  A point at level n >= 2 makes one
+``logseries_eval`` of G_n: one table of powers of 1/x, n - 1 fixed-point
+dot products (parts 0..n-2 hold Q_2..Q_n; part n - 1, P_1 = beta_1 - Q_1,
+is 0) and n ``series_eval`` calls, 9 at n = 9.  The floats are ``mpmath.libmp``
 tuples at the evaluator's precision, rounded to nearest as ``mpf``
 arithmetic does, so the caller's ``mpmath.mp.prec`` changes no bit.
 
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import mpmath
 from mpmath.libmp import fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sum, round_nearest, to_rational
@@ -71,7 +72,6 @@ from .series import (
     EvalResult,
     PowerSeriesInvX,
     _exact,
-    _horner,
     _make_mpf,
     _Point,
     _to_mpf,
@@ -140,7 +140,7 @@ class BetaTable:
 
 def _abs_sum(q: PowerSeriesInvX, n: int, prec: int) -> tuple:
     """|Q|(n), the series with absolute coefficients at the integer n, as an ``_mpf_``."""
-    num = _horner([abs(c) for c in q.ints], n, 0, None)
+    num = reduce(lambda acc, c: acc * n + abs(c), q.ints, 0)  # Horner, exact
     return mpf_div(from_int(num), from_int(q.den * n**q.order), prec, round_nearest)
 
 
@@ -163,11 +163,18 @@ def beta_table(n_max: int, order: int, prec: int, /) -> BetaTable:
         lower = beta_table(k, order, prec)
     n, qs, betas, tails = n_max, log_expansion_q_list(n_max, order), lower.values, lower.tails
     exact = [Fraction(*to_rational(beta._mpf_)) for beta in betas]
-    # part 0: sum_{i=2}^{n} (-1)^i beta_{n-i} Q_i (Q_1 = 0); part 1: part 0 of G_{n-1} plus beta_{n-1}
+    # part 0: sum_{i=2}^{n} (-1)^i beta_{n-i} Q_i (Q_1 = 0); part 1: part 0 of G_{n-1}
+    # plus beta_{n-1} Q_0 = beta_{n-1}, its constant alone changed over the common
+    # denominator.  That part 0 has no constant term and beta's denominator is a power
+    # of two, so the sum is in lowest terms as it stands
     leading = [(qs[i], exact[n - i] * (-1) ** i) for i in range(2, n + 1) if exact[n - i]]
+    low, beta = lower._g[0], exact[n - 1]
+    den = math.lcm(low.den, beta.denominator)
+    ints = [c * (den // low.den) for c in low.ints]
+    ints[0] += beta.numerator * (den // beta.denominator)
     g = (
         PowerSeriesInvX._combination(leading) if leading else PowerSeriesInvX.zero(order),
-        PowerSeriesInvX._combination([(lower._g[0], 1), (qs[0], exact[n - 1])]),
+        PowerSeriesInvX._from_scaled(den, ints, low.conv_abscissa, 1),
     ) + tuple(part * Fraction(1, j) for j, part in enumerate(lower._g[1:], 2))
     # b_j = (1/j!) sum_{2 <= k < n} tail(beta_k) |Q_{n-k-j}|(n) for j <= n - 2, each product exact
     abs_q = [fone, fzero] + [_abs_sum(q, n, prec) for q in qs[2 : n - 1]]  # |Q_0| = 1, |Q_1| = 0

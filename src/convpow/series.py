@@ -24,31 +24,38 @@ combination (``+``, ``-`` and so ``shift_s``, and the sums ``qcoeff`` and
 ``fdecomp`` form) is ``PowerSeriesInvX._combination``, one integer pass
 over the common denominator of its terms.
 
-Every operator and evaluation runs on those integers: each operator
-reduces its output to lowest terms once, and evaluation keeps partial sums
-as exact integers (Horner) and converts to an mpmath float once, at the
-end.  Fractions are built only when a caller asks for ``coeffs``.  Each
-evaluation carries a geometric-ratio tail estimate for the truncated
+Every operator runs on those integers and reduces its output to lowest
+terms once; Fractions are built only when a caller asks for ``coeffs``.
+Each evaluation carries a geometric-ratio tail estimate for the truncated
 remainder, flagged unreliable when the last coefficient ratio does not
 support a geometric model at the requested point; ``series_eval`` runs
-that model, on integers too.
+that model on integers too.
 
-The Horner sum at x = p/q runs in ascending powers of 1/x, multiplying by
-p at each step; q = odd * 2^s enters each coefficient as odd^k shifted
-left by s*k bits.  A float point is dyadic (odd = 1), so each step is a
-product by a word-sized p and a shift, with no power of odd at all.  A
-part of a polynomial in ln(x) that is exactly zero costs no evaluation:
-adding its 0 would not change a sum already rounded.  The float work after
-the Horner sum runs on ``mpmath.libmp`` tuples (``_mpf_``) at the requested
-precision with round-to-nearest, the operations mpmath's own ``mpf``
-arithmetic does at that working precision, without an ``mpf`` object per
-step or a context switch; the caller's ``mpmath.mp.prec`` is neither read
-nor changed.  Only the ``EvalResult`` fields are ``mpf``.
+Evaluation is fixed point (Brent and Zimmermann, *Modern Computer
+Arithmetic*, 2010, section 4.4).  At x = p/q >= 1 a point holds, per order
+N, one table of T[k], x^-k scaled by 2^F and at most 2k units low; a series
+holds, per precision, C[i] = a_{k0+i} scaled by 2^E, off by less than 2
+units, k0 its first nonzero index.  The partial sum is x^-k0 times the dot
+product sum_i C[i] T[i] over 2^(E+F), with x^-k0 = q^k0 / p^k0 entering
+exactly before the one rounding to prec.  E and F depend on the series
+alone, F on sum_{k>k0} |a_k| / |a_k0|, and keep each rounding below
+2^-(prec+48) |a_k0| x^-k0, a part of |g|(x) = sum_k |a_k| x^-k.  So at
+every x >= 1, however large, the value is off from the exact partial sum S
+by at most 2^-prec |S| + 2^-(prec+32) |g|(x), and the tail, the same
+integers' upper bound on |a_N| x^-N over 1 - rho, rounded up, lies between
+the model's exact value and that times 1 + 2^(4-prec), plus
+2^-(prec+32) |g|(x).
 
-``series_eval`` and ``logseries_eval`` take a number or a point prepared
-at their precision (``_Point``): the parts of one polynomial in ln(x)
-share the point's memo per order N (odd^0..odd^N, p^N, x^(-N)) and its
-ln(x), which is taken once, and only for a part of ln-degree >= 1.
+The float work runs on ``mpmath.libmp`` tuples (``_mpf_``) at the
+requested precision, without an ``mpf`` object per step or a context
+switch; the caller's ``mpmath.mp.prec`` is neither read nor changed.  Only
+the ``EvalResult`` fields are ``mpf``.  ``logseries_eval`` forms each
+part's product with ln(x)^j exactly and rounds each sum once, and a part
+that is exactly zero costs no evaluation.  ``series_eval`` and
+``logseries_eval`` take a number or a point prepared at their precision
+(``_Point``): the parts of one polynomial in ln(x) share the point's one
+power table, at the finest F any part needs, and its ln(x), which is taken
+once, and only for a part of ln-degree >= 1.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 import mpmath
-from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_log, mpf_mul, mpf_pow_int, round_nearest
+from mpmath.libmp import fone, from_int, from_man_exp, fzero, mpf_abs, mpf_div, mpf_log, mpf_mul, mpf_sum, round_nearest, round_up
 
 from .combinatorics import stirling1_unsigned
 
@@ -72,10 +79,11 @@ DEFAULT_PREC = 128
 
 Rational = Union[int, Fraction]
 
-# 1 - rho when the geometric model fails and rho is capped at 255/256: 2^-8,
-# exact at every precision, keeps the tail estimate finite (and visibly
-# large) rather than dividing by ~0.
-_ONE_MINUS_CAPPED_RHO = (0, 1, -8, 1)
+# Guard bits of the fixed-point evaluation: the rounding of the coefficients
+# and of the powers of 1/x each stays below 2^-(prec+_GUARD) of the leading
+# term, so the partial sum is off by less than 2^-(prec+32) |g|(x) even when
+# a capped tail model multiplies the error by 256.
+_GUARD = 48
 
 
 def _exact(x) -> Fraction:
@@ -114,7 +122,7 @@ class PowerSeriesInvX:
     one, products and sums take the max); equality ignores it.
     """
 
-    __slots__ = ("den", "ints", "conv_abscissa", "_floats")
+    __slots__ = ("den", "ints", "conv_abscissa", "_fixed_cache")
 
     def __init__(self, coeffs: Iterable[Rational], conv_abscissa: Rational = 1):
         fracs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
@@ -125,7 +133,7 @@ class PowerSeriesInvX:
             raise ValueError(f"conv_abscissa must be >= 1, got {self.conv_abscissa}")
         self.den = math.lcm(*(c.denominator for c in fracs))
         self.ints = tuple(c.numerator * (self.den // c.denominator) for c in fracs)
-        self._floats = {}  # {prec: what evaluation needs at prec}, filled on use
+        self._fixed_cache = {}  # {prec: what evaluation needs at prec}, filled on use
 
     @classmethod
     def _from_scaled(cls, den: int, ints, conv_abscissa: Fraction, g: int | None = None) -> "PowerSeriesInvX":
@@ -137,7 +145,7 @@ class PowerSeriesInvX:
         self.den = den // g
         self.ints = tuple(c // g for c in ints) if g > 1 else tuple(ints)
         self.conv_abscissa = conv_abscissa
-        self._floats = {}
+        self._fixed_cache = {}
         return self
 
     @classmethod
@@ -168,24 +176,36 @@ class PowerSeriesInvX:
                 "re-expand to a common order first"
             )
 
-    def _eval_floats(self, prec: int):
-        """(value of a constant series or None, den, |a_N|, tail ratio), the
-        floats as ``_mpf_`` tuples at precision prec: what evaluation needs
-        besides the integers and the point, cached per precision.
+    def _fixed(self, prec: int):
+        """(value of a constant series or None, F, k0, E, C, top, ratio):
+        what evaluation at prec needs besides the point, cached per precision.
 
-        The tail ratio is the pair of integers (a, b) with a / b =
+        k0 is the first k with a_k != 0, and C[i] is a_{k0+i} 2^E in fixed
+        point, off by less than 2: one reciprocal of den, then a product and
+        a shift per coefficient.  E, and F, the bits a point's powers need,
+        put the rounding of C and of the powers each below
+        2^-(prec+_GUARD) |a_k0|.  top = |C[-1]| + 2 exceeds |a_N| 2^E.  The
+        tail ratio is the pair of integers (a, b) with a / b =
         max(|a_N / a_{N-1}|, 1) of the geometric tail model (1 when
         a_{N-1} = 0), or None when a_N = 0 and the model puts no tail at all.
         """
-        got = self._floats.get(prec)
+        got = self._fixed_cache.get(prec)
         if got is None:
-            if not any(self.ints[1:]):
-                got = (_to_mpf(self.coeff(0), prec), None, None, None)
+            ints, n = self.ints, self.order
+            if not any(ints[1:]):
+                got = (_to_mpf(self.coeff(0), prec), 0, 0, 0, None, 0, None)
             else:
-                last, prev = abs(self.ints[-1]), abs(self.ints[-2])
+                k0 = next(k for k, c in enumerate(ints) if c)
+                lead = abs(ints[k0]).bit_length()
+                scale = prec + _GUARD + (2 * n + 2).bit_length() + self.den.bit_length() - lead + 1
+                bits = max(0, prec + _GUARD + (2 * n * sum(map(abs, ints[k0 + 1 :]))).bit_length() - lead + 1)
+                shift = max(max(map(abs, ints)).bit_length(), -scale)
+                recip = (1 << (scale + shift)) // self.den
+                coeffs = [c * recip >> shift for c in ints[k0:]]
+                last, prev = abs(ints[-1]), abs(ints[-2])
                 ratio = None if not last else (last, prev) if last > prev > 0 else (1, 1)
-                got = (None, from_int(self.den, prec, round_nearest), _to_mpf(Fraction(last, self.den), prec), ratio)
-            self._floats[prec] = got
+                got = (None, bits, k0, scale, coeffs, abs(coeffs[-1]) + 2, ratio)
+            self._fixed_cache[prec] = got
         return got
 
     @staticmethod
@@ -337,52 +357,35 @@ def shift_s(g: PowerSeriesInvX) -> PowerSeriesInvX:
     return g - backward_diff(g)
 
 
-def _horner(ints, p: int, shift: int, opow) -> int:
-    """Exact Horner sum of ints[k] * p^(N-k) * q^k, k = 0..N, where
-    q = odd * 2^shift and opow = odd^0..odd^N, or None when odd = 1.
-
-    With ints = den * a_k of a series and x = p/q, the series' partial sum
-    at x is this integer over den * p^N.  After scaling ints[k] by odd^k
-    (skipped at a float point, where odd = 1) it runs in ascending k,
-    acc * p + (ints[k] << shift*k): one product by p per step.
-    """
-    if opow is not None:
-        ints = list(map(operator.mul, ints, opow))
-    acc = ints[0]
-    for k in range(1, len(ints)):
-        acc = acc * p + (ints[k] << (shift * k))
-    return acc
-
-
 class _Point:
     """An evaluation point x = p/q, prepared once at one precision for every
     series evaluated at it.
 
-    It keeps q = odd * 2^shift, x itself as an ``_mpf_`` tuple at its
-    precision, one memo per order N (``floats``) and the powers of ln x,
-    whose ln x is taken once, when a part of ln-degree >= 1 first asks.  A
-    point lives for one evaluation; nothing is kept beyond it.
+    It keeps x itself as an ``_mpf_`` tuple at its precision, one table of
+    fixed-point powers of 1/x per order N (``powers``) and the powers of
+    ln x, whose ln x is taken once, when a part of ln-degree >= 1 first
+    asks.  A point lives for one evaluation; nothing is kept beyond it.
     """
 
-    __slots__ = ("x", "prec", "_shift", "_odd", "_mpf", "_floats", "_weights")
+    __slots__ = ("x", "prec", "_mpf", "_powers", "_weights")
 
     def __init__(self, xf: Fraction, prec: int):
         self.x = xf
         self.prec = prec
-        q = xf.denominator
-        self._shift = (q & -q).bit_length() - 1
-        self._odd = q >> self._shift
         self._mpf = _to_mpf(xf, prec)
-        self._floats = {}  # N -> floats(N)
+        self._powers = {}  # N -> (F, T)
         self._weights = ([fone], [fone])  # ln(x)^j and |ln(x)|^j, j = 0.., grown on request
 
-    def floats(self, n: int):
-        """(odd^0..odd^n or None when odd = 1, p^n, x^(-n)), the floats as ``_mpf_``."""
-        got = self._floats.get(n)
-        if got is None:
-            opow = None if self._odd == 1 else list(itertools.accumulate([self._odd] * n, operator.mul, initial=1))
-            x_pow = mpf_pow_int(self._mpf, -n, self.prec, round_nearest)
-            got = self._floats[n] = (opow, from_int(self.x.numerator**n, self.prec, round_nearest), x_pow)
+    def powers(self, n: int, bits: int):
+        """(F, T) with F >= bits and x^-k 2^F - 2k < T[k] <= x^-k 2^F for
+        k = 0..n, x >= 1: T[1] = floor(2^F q / p), each further power the
+        product by T[1] shifted down F bits.  Every series of order n at
+        this point shares the table; a finer one replaces it."""
+        got = self._powers.get(n)
+        if got is None or got[0] < bits:
+            step = (self.x.denominator << bits) // self.x.numerator
+            table = list(itertools.accumulate(itertools.repeat(step, n), lambda acc, s: acc * s >> bits, initial=1 << bits))
+            got = self._powers[n] = (bits, table)
         return got
 
     def ln_weights(self, degree: int):
@@ -395,6 +398,11 @@ class _Point:
         return weights, abs_weights
 
 
+def _dot(coeffs, powers) -> int:
+    """sum_i C[i] T[i]: a series' fixed-point coefficients against a point's powers."""
+    return sum(map(operator.mul, coeffs, powers))
+
+
 def _point(x, prec: int) -> _Point:
     at = x if isinstance(x, _Point) else _Point(_exact(x), prec)
     if at.prec != prec:  # a shared point serves one precision
@@ -405,48 +413,52 @@ def _point(x, prec: int) -> _Point:
 def series_eval(g: PowerSeriesInvX, x, prec: int = DEFAULT_PREC) -> EvalResult:
     """Evaluate g at x >= conv_abscissa.
 
-    The partial sum is accumulated exactly: with D the common denominator
-    of the coefficients and x = p/q in lowest terms, Horner's rule runs on
-    integers (``_horner``) and the single division happens at float
-    precision ``prec``.  Constant series evaluate anywhere (the point is not
-    even range-checked: degree-0 data has no singularity).  Inside the
-    package x may also be a ``_Point`` prepared at ``prec``.
+    The partial sum is one fixed-point dot product: the coefficients
+    a_{k0}..a_N scaled by 2^E (``PowerSeriesInvX._fixed``) against the
+    point's powers x^0..x^-(N-k0) scaled by 2^F (``_Point.powers``), times
+    x^-k0 = q^k0 / p^k0 at x = p/q, rounded once to ``prec``.  Constant
+    series evaluate anywhere (the point is not even range-checked: degree-0
+    data has no singularity).  Inside the package x may also be a
+    ``_Point`` prepared at ``prec``.
 
     The tail model: rho = (a/b) / x, with a/b = max(|a_N / a_{N-1}|, 1),
-    decays when rho < 1 (the reliability flag) and is capped at 255/256;
+    decays when rho < 1 (the reliability flag) and is capped at 255/256,
+    which keeps the tail finite, and visibly large, where the model fails;
     the tail is |a_N| * x^(-N) / (1 - rho), none when a_N = 0.  On
     integers, rho = u/v with u = a*q and v = b*p, compared by
-    cross-multiplying, and uncapped 1 - rho = (v - u)/v is reduced by
-    gcd(u, v) and converted as ``_to_mpf`` converts the Fraction.
+    cross-multiplying; the tail is the same integers' upper bound on
+    |a_N| x^-N times v / (v - u), or 256 when capped, rounded up.
     """
     at = _point(x, prec)
-    constant, den, abs_last, ratio = g._eval_floats(prec)
+    constant, bits, k0, scale, coeffs, top, ratio = g._fixed(prec)
     if constant is not None:
         return EvalResult(_make_mpf(constant), _make_mpf(fzero), True)
     p, q, abscissa = at.x.numerator, at.x.denominator, g.conv_abscissa
     if p * abscissa.denominator < abscissa.numerator * q:
         raise ValueError(f"evaluation point {at.x} is below the convergence abscissa {abscissa}")
-    opow, p_n, x_pow = at.floats(g.order)
+    bits, powers = at.powers(g.order, bits)
+    exp, last = -(scale + bits), g.order - k0
+    total = _dot(coeffs, powers)
+    if k0:  # x^-k0 = q^k0 / p^k0 enters exactly, before the one rounding
+        value = mpf_div(from_man_exp(total * q**k0, exp), from_int(p**k0), prec, round_nearest)
+    else:
+        value = from_man_exp(total, exp, prec, round_nearest)
     reliable, tail = True, fzero
     if ratio is not None:
         u, v = ratio[0] * q, ratio[1] * p
-        reliable, one_minus_rho = u < v, _ONE_MINUS_CAPPED_RHO
-        if 256 * u < 255 * v:  # rho below the cap
-            r = math.gcd(u, v)
-            gap, whole = from_int((v - u) // r, prec, round_nearest), from_int(v // r, prec, round_nearest)
-            one_minus_rho = mpf_div(gap, whole, prec, round_nearest)
-        tail = mpf_div(mpf_mul(abs_last, x_pow, prec, round_nearest), one_minus_rho, prec, round_nearest)
-    numerator = from_int(_horner(g.ints, p, at._shift, opow), prec, round_nearest)
-    value = mpf_div(numerator, mpf_mul(den, p_n, prec, round_nearest), prec, round_nearest)
+        reliable = u < v
+        over, under = (v, v - u) if 256 * u < 255 * v else (256, 1)  # 1 / (1 - min(rho, 255/256))
+        bound = top * (powers[last] + 2 * last) * over * q**k0
+        tail = mpf_div(from_man_exp(bound, exp), from_int(under * p**k0), prec, round_up)
     return EvalResult(_make_mpf(value), _make_mpf(tail), reliable)
 
 
 def logseries_eval(parts: tuple[PowerSeriesInvX, ...], x, prec: int = DEFAULT_PREC) -> EvalResult:
     """Evaluate sum_j parts[j] * ln(x)^j; tails of the parts combine with |ln x|^j weights.
 
-    Every part takes its weight, part 0 the exact ln(x)^0 = 1.  x may be a
-    ``_Point`` as in ``series_eval``, whose memo per order and ln(x) the
-    caller shares.
+    Every part takes its weight, part 0 the exact ln(x)^0 = 1; the products
+    are exact and each sum is rounded once.  x may be a ``_Point`` as in
+    ``series_eval``, whose powers and ln(x) the caller shares.
     """
     if not parts:
         raise ValueError("a polynomial in ln(x) needs at least its ln-degree-0 part")
@@ -454,12 +466,15 @@ def logseries_eval(parts: tuple[PowerSeriesInvX, ...], x, prec: int = DEFAULT_PR
     if len(parts) > 1 and at.x.numerator <= 0:
         raise ValueError(f"ln(x) requires x > 0, got {at.x}")
     weights, abs_weights = at.ln_weights(len(parts) - 1)
-    value, tail, reliable = fzero, fzero, True
-    for j, part in enumerate(parts):
-        if not any(part.ints):
-            continue  # adding an exact 0 to a sum already rounded to prec changes no bit
+    live = [(j, part) for j, part in enumerate(parts) if any(part.ints)]  # an exact 0 adds nothing
+    need = max((part._fixed(prec)[1] for _, part in live), default=0)
+    if need and at.x >= 1:  # one table of powers for every part, at the finest any part needs
+        at.powers(parts[0].order, need)
+    values, tails, reliable = [], [], True
+    for j, part in live:
         r = series_eval(part, at, prec)
-        value = mpf_add(value, mpf_mul(r.value._mpf_, weights[j], prec, round_nearest), prec, round_nearest)
-        tail = mpf_add(tail, mpf_mul(r.tail_estimate._mpf_, abs_weights[j], prec, round_nearest), prec, round_nearest)
+        values.append(mpf_mul(r.value._mpf_, weights[j]))
+        tails.append(mpf_mul(r.tail_estimate._mpf_, abs_weights[j]))
         reliable = reliable and r.tail_reliable
+    value, tail = mpf_sum(values, prec, round_nearest), mpf_sum(tails, prec, round_nearest)
     return EvalResult(_make_mpf(value), _make_mpf(tail), reliable)

@@ -323,6 +323,17 @@ def test_eval_csv_lists_the_values_whether_or_not_the_oracles_run(capsys, argv):
         assert float(with_oracles[key]) == pytest.approx(float(with_oracles["series"]), abs=1e-9)
 
 
+def test_amatrix_csv_lists_the_values_with_or_without_checks(capsys):
+    tables = []
+    for extra in ([], ["--check"]):
+        assert cli.main(["amatrix", "4", "--det", *extra, "--format", "csv"]) == 0
+        tables.append({r["key"]: r["value"] for r in csv.DictReader(io.StringIO(capsys.readouterr().out))})
+    plain, checked = tables
+    assert plain == {"s": "4", "rows": "[[1], [0, 1], [0, 3, 2], [0, 6, 15, 6], [0, 6, 50, 72, 24]]", "determinant": "288"}
+    assert {k: checked[k] for k in plain} == plain
+    assert "'ok': True" in checked["special_values"]
+
+
 def test_order_flag(capsys):
     rc, payload = run_json(capsys, ["beta", "1", "-N", "48"])
     assert payload["config"]["order"] == 48

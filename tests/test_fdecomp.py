@@ -222,12 +222,13 @@ def test_evaluator_is_reusable():
 # mantissa and exponent (mpf._mpf_) of value and tail plus the flag; repr at
 # mpmath's default 53 bits would hide the low bits.  Frozen from the
 # evaluator that sums G_n's exact ln-parts, f_n(y) = G_n(y + n) + beta_n,
-# with the beta_k's tail term sum_j |ln x|^j b_j.
+# with the beta_k's tail term sum_j |ln x|^j b_j, each part one fixed-point
+# dot product, the parts' products with ln(x)^j summed exactly and rounded once.
 FROZEN_YS = (0, 0.25, 0.1, 1, 7.5, 19.75)
-FROZEN_F_SHA256 = "246cf461ff0277529118251b42e3faf64c6b186a158a7717aaff378c3375de18"
+FROZEN_F_SHA256 = "b5da1c0a19ae353d87738b28ffcaaf0a82a26d0e4a8a9314f59893d4783b3f18"
 FROZEN_F_SAMPLES = {
-    (64, 128, 10, 0.25): "(0, 199105174625957898440127, -135, 78) (0, 66061248016965979245662888930573440223, -161, 126) True",
-    (40, 96, 7, 0.1): "(1, 886149265027275427, -99, 60) (0, 15059416960120971873019652693, -122, 94) True",
+    (64, 128, 10, 0.25): "(0, 3185682794015326375042201, -139, 82) (0, 66061248016965979245662888930573440223, -161, 126) True",
+    (40, 96, 7, 0.1): "(1, 113427105923491254989, -106, 67) (0, 15059416960120971873019652693, -122, 94) True",
 }
 
 
@@ -245,13 +246,13 @@ def test_f_values_frozen():
 
 
 # The same record at points whose x = y + n has a denominator with an odd
-# part (3 or 7), which no float reaches: the Horner sums there multiply by
-# powers of that odd part.  Frozen from the same G_n evaluator as above.
+# part (3 or 7), which no float reaches: there 1/x = q/p has no finite
+# binary expansion.  Frozen from the same G_n evaluator as above.
 FROZEN_ODD_YS = (F(1, 3), F(22, 7), F(10, 3))
-FROZEN_ODD_SHA256 = "af6c581d6009bd935857fe9d63e8b62bc27bfdc5ca85bd97973f98966623f28b"
+FROZEN_ODD_SHA256 = "a04f8809858bc6f21220dd580d6aa568359935f2c1eecca6e913f4c35a99dc36"
 FROZEN_ODD_SAMPLES = {
-    (64, 128, 10, F(1, 3)): "(0, 977320231009550865501431, -137, 80) (0, 264891662677223498476589401934428959761, -163, 128) True",
-    (40, 96, 7, F(22, 7)): "(0, 37097864811780955015249693, -101, 85) (0, 2128227599430072639207757637, -119, 91) True",
+    (64, 128, 10, F(1, 3)): "(0, 1954640462019101731003083, -138, 81) (0, 132445831338611749238294700967214479881, -162, 127) True",
+    (40, 96, 7, F(22, 7)): "(0, 1187131673976990560487990769, -106, 90) (0, 2128227599430072639207757637, -119, 91) True",
 }
 
 
@@ -397,13 +398,40 @@ def test_one_beta_table_per_key():
         beta_table(5, order=DEFAULT_ORDER, prec=DEFAULT_PREC)
 
 
+@pytest.mark.parametrize("order, prec", [(64, 128), (16, 24)])
+def test_part_one_is_the_two_term_combination(order, prec):
+    # G_n's part 1 changes only the constant of G_{n-1}'s part 0, and lands in lowest terms
+    for n in range(1, 11):
+        lower, beta = beta_table(n - 1, order, prec), _q(beta_table(n, order, prec).values[n - 1]._mpf_)
+        want = PowerSeriesInvX._combination([(lower._g[0], 1), (qcoeff.log_expansion_q_list(n, order)[0], beta)])
+        got = beta_table(n, order, prec)._g[1]
+        assert (got.den, got.ints) == (want.den, want.ints), n
+
+
 def test_each_q_series_is_evaluated_once_per_point(monkeypatch):
     make_f_evaluator(9)  # warm: J-iterates and betas built
     calls = []
-    horner = series._horner
-    monkeypatch.setattr(series, "_horner", lambda *args: calls.append(args) or horner(*args))
+    dot = series._dot
+    monkeypatch.setattr(series, "_dot", lambda *args: calls.append(args) or dot(*args))
     f_eval(9, 2.5)
     assert len(calls) == 8  # one per non-constant part of G_9: parts 0..7; part 8 is 0, part 9 is 1/9!
+
+
+def test_one_power_table_per_point_and_order(monkeypatch):
+    # every part of G_9 takes its powers of 1/x from the one table its point builds
+    make_f_evaluator(9)
+    tables = []
+    powers = series._Point.powers
+
+    def spy(point, n, bits):
+        got = powers(point, n, bits)
+        tables.append((id(point), n, id(got[1])))
+        return got
+
+    monkeypatch.setattr(series._Point, "powers", spy)
+    f_eval(9, 2.5)
+    assert len(tables) == 9  # sized once for all parts, then one lookup per non-constant part
+    assert len(set(tables)) == 1
 
 
 def test_f_eval_goes_through_logseries_eval_to_series_eval(monkeypatch):

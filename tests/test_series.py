@@ -5,9 +5,10 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import mpf_div, mpf_mul, mpf_pow_int, round_nearest
+from mpmath.libmp import to_rational
 
 from convpow import series
+from convpow.fdecomp import f_eval, make_f_evaluator
 from convpow.qcoeff import log_expansion_q_list
 from convpow.series import (
     EvalResult,
@@ -294,28 +295,83 @@ def test_a_point_serves_one_precision():
             assert series_eval(g, shared, 96) == series_eval(g, x, 96)
 
 
+# The contract of the fixed-point kernel, against the exact partial sum
+# S = sum_k a_k x^-k and |g|(x) = sum_k |a_k| x^-k: the value is off by at
+# most 2^-prec |S| + 2^-(prec+32) |g|(x); the tail lies between the formula
+# |a_N| x^-N / (1 - min(rho, 255/256)) and that times 1 + 2^(4-prec), plus
+# 2^-(prec+32) |g|(x); the flag is rho < 1, exactly.
+
+
+def _exact_sums(g, x):
+    """S and |g|(x) as Fractions, on integers: a_k x^-k = ints[k] q^k p^(N-k) / (den p^N)."""
+    p, q, n = x.numerator, x.denominator, g.order
+    terms = [c * q**k * p ** (n - k) for k, c in enumerate(g.ints)]
+    whole = g.den * p**n
+    return F(sum(terms), whole), F(sum(map(abs, terms)), whole)
+
+
+def _tail_formula(g, x):
+    last, prev = g.coeff(g.order), g.coeff(g.order - 1)
+    if not last:
+        return F(0), True
+    rho = max(abs(last / prev) if prev else F(1), F(1)) / x
+    return abs(last) / x**g.order / (1 - min(rho, F(255, 256))), rho < 1
+
+
+def _check_contract(g, x, prec, sums=None):
+    r = series_eval(g, x, prec)
+    exact, size = sums or _exact_sums(g, x)
+    slack = size / 2 ** (prec + 32)
+    value, tail = F(*to_rational(r.value._mpf_)), F(*to_rational(r.tail_estimate._mpf_))
+    assert abs(value - exact) <= abs(exact) / 2**prec + slack
+    formula, reliable = _tail_formula(g, x)
+    assert formula <= tail <= formula * (1 + F(2) ** (4 - prec)) + slack
+    assert r.tail_reliable is reliable
+
+
 @st.composite
-def horner_cases(draw):
-    order = draw(st.integers(0, 80))
-    coeff = st.one_of(st.just(0), st.integers(-(2**600), 2**600))
-    ints = draw(st.lists(coeff, min_size=order + 1, max_size=order + 1))
-    odd = draw(st.one_of(st.sampled_from((1, 3, 7, 21)), st.integers(0, 10**6).map(lambda k: 2 * k + 1)))
-    return ints, draw(st.integers(1, 2**80)), odd, draw(st.integers(0, 60))
+def contract_cases(draw):
+    order = draw(st.sampled_from((8, 64, 256)))
+    small = st.fractions(min_value=-5, max_value=5, max_denominator=45)
+    coeffs = draw(st.lists(st.one_of(st.just(F(0)), small), min_size=order + 1, max_size=order + 1))
+    if draw(st.booleans()):  # growth like Q_9's, 9^k a polynomial in k
+        coeffs = [c * 9**k * (k + 1) ** 3 for k, c in enumerate(coeffs)]
+    coeffs[draw(st.integers(1, order))] = draw(small.filter(bool))  # not constant
+    scale = draw(st.sampled_from((F(1), F(1, 3**60), F(7**50))))  # tiny and huge coefficients
+    coeffs = [c * scale for c in coeffs]
+    floats = st.floats(1, 1e300).map(F)
+    odd = st.builds(lambda p, h: F(p, 2 * h + 1), st.integers(1, 10**40), st.integers(1, 10**6))
+    x = draw(st.one_of(floats, odd.filter(lambda v: v >= 1), st.sampled_from((F(1), F(9), F(22, 7)))))
+    return PowerSeriesInvX(coeffs), x, draw(st.sampled_from((24, 53, 128, 256)))
 
 
-@given(horner_cases())
-@example(([5], 3, 1, 0))
-@example(([-1, 0, 2**500] + [0] * 68 + [-7], 2**53 - 1, 1, 52))
-@example(([1] * 71, 22, 7, 0))
-def test_horner_is_the_naive_sum(case):
-    # the shifted ascending Horner against the definition, term by term; a
-    # float point's q is a power of two, and its branch takes no powers of odd
-    ints, p, odd, shift = case
-    q, order = odd << shift, len(ints) - 1
-    naive = sum(c * p ** (order - k) * q**k for k, c in enumerate(ints))
-    assert series._horner(ints, p, shift, [odd**k for k in range(order + 1)]) == naive
-    if odd == 1:
-        assert series._horner(ints, p, shift, None) == naive
+@settings(max_examples=60, deadline=None)
+@given(contract_cases())
+def test_fixed_point_kernel_keeps_its_contract(case):
+    _check_contract(*case)
+
+
+@pytest.mark.parametrize("order", [8, 64, 256])
+def test_fixed_point_kernel_on_q9(order):
+    # Q_9 itself and its leading zeros (k0 = 5), at and far above its abscissa
+    q9 = log_expansion_q_list(9, order)[9]
+    for x in (F(9), F(47, 5), F(12.3), F(1e17), F(1e300)):
+        sums = _exact_sums(q9, x)
+        for prec in (24, 53, 128, 256):
+            _check_contract(q9, x, prec, sums)
+
+
+def test_series_cache_is_bounded_whatever_the_points():
+    # one entry per precision, built once: 500 points over [0, 1e300] add nothing
+    parts = make_f_evaluator(9)._g
+    f_eval(9, 0.5)
+    before = [dict(part._fixed_cache) for part in parts]
+    ys = [0.0] + [10.0 ** (300 * (k / 499) ** 2) - 1 for k in range(1, 500)]
+    for y in ys:
+        f_eval(9, y)
+    after = [dict(part._fixed_cache) for part in parts]
+    assert [list(c) for c in after] == [list(c) for c in before]
+    assert all(a[k] is b[k] for a, b in zip(after, before) for k in a)
 
 
 # ---------------------------------------------------------------------------
@@ -448,17 +504,12 @@ def test_tail_model_branch_by_branch(coeffs, x, reliable):
 @example(F(255, 128) + F(1, 2**20), F(2), 64, False)  # just above the cap
 @example(F(3, 2), F(3, 2), 128, False)  # u = v: rho = 1
 @example(F(1, 3), F(5, 2), 64, True)  # ratio < 1: rho = 1 / x
-@example(F(97, 40), F(23851993, 810670), 24, False)  # u, v share a factor 10 that rounding would see
-def test_tail_model_is_the_fraction_formula_bit_for_bit(ratio, x, prec, negative):
+@example(F(97, 40), F(23851993, 810670), 24, False)  # u, v share a factor 10
+def test_tail_model_encloses_the_fraction_formula(ratio, x, prec, negative):
     # series_eval's integer tail model against rho = max(ratio, 1) / x on
-    # Fractions: |a_N| x^-N / (1 - min(rho, 255/256)), each factor rounded once
-    g = PowerSeriesInvX([0, 1, 1, -ratio if negative else ratio])
-    r = series_eval(g, x, prec)
-    rho = max(ratio, 1) / x
-    x_pow = mpf_pow_int(series._to_mpf(x, prec), -3, prec, round_nearest)
-    top = mpf_mul(series._to_mpf(ratio, prec), x_pow, prec, round_nearest)
-    assert r.tail_estimate._mpf_ == mpf_div(top, series._to_mpf(1 - min(rho, F(255, 256)), prec), prec, round_nearest)
-    assert r.tail_reliable is (rho < 1)
+    # Fractions: |a_N| x^-N / (1 - min(rho, 255/256)), enclosed from above
+    # within the contract; the flag is rho < 1 exactly
+    _check_contract(PowerSeriesInvX([0, 1, 1, -ratio if negative else ratio]), x, prec)
 
 
 @pytest.mark.parametrize("order", [16, 32, 64])
