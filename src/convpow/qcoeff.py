@@ -36,13 +36,30 @@ reflection and convolution identities from level 4 upward.  The
 ``log-expansion-consistency`` tests pin both facts down symbolically.
 
 The short recurrence is one forward loop that returns the whole ladder
-Q_0..Q_{n_max} and keeps nothing.  The full recurrence is a pipeline
-table: level n is cached per truncation order and built from the cached
-level n - 1, requested bottom-up so no call recurses more than one level
-deep (those lookups cost far less than a level's Cauchy products).  It
-also builds each S[Q_k] = Q_k - nabla[Q_k] (``shift_s``) once per (level,
-order) and reuses it at every higher level; S[Q_0] = 1 is never built, and
-neither S[Q_0] nor S[Q_1] = 0 enters a product.
+Q_0..Q_{n_max} and keeps nothing.  The full family is a pipeline table
+built from its generating function instead of the recurrence above.
+With Ein(t) = sum_{m>=1} (-1)^(m+1) t^m / (m m!) (DLMF section 6.6) and
+c(k, a) = ``stirling1_unsigned(k, a)``, (-1)^n q_{n,k} is the coefficient
+of eps^n in eps (eps - 1) ... (eps - k + 1) [t^k] exp(eps Ein(t)), that is
+
+    q_{n,k} = sum_{b=1}^{n-1} (-1)^(k+b) c(k, n-b) e_{b,k},
+    e_{b,k} = [t^k] Ein(t)^b / b!.
+
+The layers Ein^b / b! are cached per (b, order) (``_ein_power``), each the
+one below it times Ein, over b: one Cauchy product per new level, where
+the recurrence took n - 3 products, a nabla, an S and an H.  The
+identity is verified, not proved: ``tests/test_qcoeff.py`` holds the
+closed form to the literal recurrence (``_literal_ladder``) in den, ints
+and abscissa through level 12 at orders 16 and 64, level 14 at orders 1,
+2, 3 and 8 and level 50 at order 8, pins the coefficients frozen from the
+recurrence at (level, order) = (12, 64), (30, 64) and (50, 8), and checks
+the derivative identity itself (the chain-rule tests).
+
+Each level's abscissa is n, the one the recurrence assigns: Q_n passes
+through the n - 1 nested backward differences from Q_1 to Q_n, and each
+re-expands 1/(x-1)^j, which moves the abscissa up by one.  The closed
+form keeps that value, so every series, and every range check that reads
+it, is as before.
 """
 
 from __future__ import annotations
@@ -53,7 +70,7 @@ from functools import lru_cache
 
 from .amatrix import compute_a_matrix
 from .combinatorics import stirling1_unsigned
-from .series import PowerSeriesInvX, backward_diff, harmonic_h, li1_power, shift_s
+from .series import PowerSeriesInvX, backward_diff, harmonic_h, li1_power
 
 
 def q_via_recurrence(n_max: int, order: int, /) -> tuple[PowerSeriesInvX, ...]:
@@ -104,7 +121,7 @@ def q_closed_form(n_plus_1: int, s: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def log_expansion_q_list(n_max: int, order: int, /) -> tuple[PowerSeriesInvX, ...]:
-    """Q_0..Q_{n_max} of the *log expansion*, via the full recurrence.
+    """Q_0..Q_{n_max} of the *log expansion*, the full-recurrence family.
 
     This is the family satisfying the derivative identity of the iterated
     operator (see the module docstring): each level adds the shifted
@@ -121,11 +138,11 @@ def log_expansion_q_list(n_max: int, order: int, /) -> tuple[PowerSeriesInvX, ..
 
     Only level n_max is built here; the lower levels are the cached
     ``log_expansion_q_list(n_max - 1, order)``, requested bottom-up and
-    shared element by element, and S[Q_j] comes from ``_shifted``.  The
-    negated bracket -li1_power(k) - S[Q_k] + Q_k - sum_{2<=j<k} S[Q_j] *
-    li1_power(k-j) is one integer pass (S[Q_k] - Q_k = -nabla[Q_k]; the
-    j = 0 product is li1_power(k) itself, the j = 1 product is 0), reduced
-    once to lowest terms, which are unique.  The abscissa is the terms' max.
+    shared element by element.  Level n >= 1 is the closed form of the
+    module docstring, sum_b (-1)^(k+b) c(k, n-b) e_{b,k}, in one integer
+    pass over the common denominator of the layers Ein^b / b!, reduced
+    once to lowest terms, which are unique; Q_1 = 0 is its empty sum.  Its
+    abscissa is n, as the recurrence assigns it.
     """
     if n_max < 0:
         raise ValueError(f"log_expansion_q_list requires n_max >= 0, got {n_max}")
@@ -135,16 +152,18 @@ def log_expansion_q_list(n_max: int, order: int, /) -> tuple[PowerSeriesInvX, ..
         return (PowerSeriesInvX.constant(1, order),)
     for k in range(n_max):  # bottom-up, so a cold call recurses one level at most
         qs = log_expansion_q_list(k, order)
-    if n_max == 1:
-        return qs + (PowerSeriesInvX.zero(order),)  # Q_1 = 0 is initial data
-    k = n_max - 1
-    terms = [(li1_power(k, order), -1), (_shifted(k, order), -1), (qs[k], 1)]  # j = 0: S[Q_0] = 1; j = 1: S[Q_1] = 0
-    terms += [(_shifted(j, order) * li1_power(k - j, order), -1) for j in range(2, k)]
-    return qs + (harmonic_h(PowerSeriesInvX._combination(terms)),)
+    layers = [_ein_power(b, order) for b in range(1, n_max)]
+    den = math.lcm(*(e.den for e in layers))
+    terms = [(n_max - b, (-1) ** b * (den // e.den), e.ints) for b, e in enumerate(layers, 1)]
+    ints = [(-1) ** k * sum(stirling1_unsigned(k, a) * w * e[k] for a, w, e in terms) for k in range(order + 1)]
+    return qs + (PowerSeriesInvX._from_scaled(den, ints, Fraction(n_max)),)
 
 
 @lru_cache(maxsize=None)
-def _shifted(k: int, order: int) -> PowerSeriesInvX:
-    """S[Q_k] of the log expansion, built once per (level, order) for every
-    higher level to reuse."""
-    return shift_s(log_expansion_q_list(k, order)[k])
+def _ein_power(b: int, order: int) -> PowerSeriesInvX:
+    """Ein(t)^b / b! as a series in t, b >= 1: Ein itself, or the layer
+    below times Ein over b, built once per (b, order) for every higher
+    level to reuse."""
+    if b == 1:
+        return PowerSeriesInvX([0] + [Fraction((-1) ** (m + 1), m * math.factorial(m)) for m in range(1, order + 1)])
+    return _ein_power(b - 1, order) * _ein_power(1, order) * Fraction(1, b)

@@ -64,11 +64,10 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Union
 
 import mpmath
-from mpmath.libmp import fone, from_int, from_man_exp, fzero, mpf_abs, mpf_div, mpf_log, mpf_mul, mpf_sum, round_nearest, round_up
+from mpmath.libmp import fone, from_int, from_man_exp, from_rational, fzero, mpf_abs, mpf_div, mpf_log, mpf_mul, mpf_sum, round_nearest, round_up
 
 from .combinatorics import stirling1_unsigned
 
@@ -101,10 +100,9 @@ def _exact(x) -> Fraction:
 
 
 def _to_mpf(q: Fraction, prec: int) -> tuple:
-    """Fraction -> ``_mpf_`` tuple at precision prec: numerator and
-    denominator each rounded to prec, then divided, as mpf(num) / mpf(den)."""
-    num, den = from_int(q.numerator, prec, round_nearest), from_int(q.denominator, prec, round_nearest)
-    return mpf_div(num, den, prec, round_nearest)
+    """Fraction -> ``_mpf_`` tuple at precision prec, the exact quotient of
+    numerator and denominator rounded once to nearest."""
+    return from_rational(q.numerator, q.denominator, prec, round_nearest)
 
 
 _make_mpf = mpmath.mp.make_mpf
@@ -332,14 +330,13 @@ def backward_diff(g: PowerSeriesInvX) -> PowerSeriesInvX:
     return PowerSeriesInvX._from_scaled(g.den, out, g.conv_abscissa + 1)
 
 
-@lru_cache(maxsize=None)
 def li1_power(n: int, order: int, /) -> PowerSeriesInvX:
     """(1/n!) * Li_1(1/x)^n, exactly: the x^{-k} coefficient is s(k, n)/k!.
 
     s(k, n) is the unsigned Stirling number of the first kind; the n = 0
     case is the constant series 1 and the n = 1 case is Li_1 itself.
-    Cached per (n, order): the log expansion multiplies by the same powers
-    at every level.
+    Not cached: the pipeline's Q build uses no Li_1 power, and the short
+    recurrence asks for each power once per call.
     """
     if n < 0:
         raise ValueError(f"li1_power requires n >= 0, got n={n}")

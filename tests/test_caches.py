@@ -13,9 +13,8 @@ import convpow
 
 #: The pipeline tables, plus the A^s rows that dualpath reuses across levels.
 CACHED = {
-    "convpow.series.li1_power",
     "convpow.qcoeff.log_expansion_q_list",
-    "convpow.qcoeff._shifted",
+    "convpow.qcoeff._ein_power",
     "convpow.fdecomp.beta_table",
     "convpow.amatrix.compute_a_matrix",
 }

@@ -269,6 +269,23 @@ def test_f_values_frozen_at_odd_denominators():
     assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_ODD_SHA256
 
 
+# The exact layer under those values: G_n's parts as (den, ints), and every
+# beta value and tail, for n <= 12, frozen before the Q family was built
+# from its generating function.  A change meant to keep every bit shows
+# it here without re-deriving a reference.
+FROZEN_TABLES_SHA256 = "6fd9338dd8679f65eaff3ac01a866481da37f1a8e44ed944473466c89d4cfdab"
+
+
+def test_g_parts_and_betas_frozen():
+    lines = []
+    for order, prec in ((64, 128), (32, 96)):
+        for n in range(13):
+            t = beta_table(n, order, prec)
+            parts = [(p.den, p.ints) for p in t._g]
+            lines.append(f"{order} {prec} {n} {parts!r} {[v._mpf_ for v in t.values]!r} {[v._mpf_ for v in t.tails]!r}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == FROZEN_TABLES_SHA256
+
+
 # Reference for the evaluator: f_n and the beta recurrence with every
 # J^(n-k) evaluated and multiplied in, beta_1 = 0 included, in libmp
 # operations at the table's precision.  The evaluator sums the same exact

@@ -202,23 +202,29 @@ def test_cold_levels_above_the_recursion_limit():
     assert proc.stdout == "reached level 50\n"
 
 
-def test_each_nabla_is_built_once(monkeypatch):
-    for module in (series, qcoeff):
-        for fn in vars(module).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
-    calls = []
+def test_each_layer_is_one_product(monkeypatch):
+    for fn in vars(qcoeff).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    products, operators = [], []
+    mul = PowerSeriesInvX.__mul__
 
-    def counting(g):
-        calls.append(g)
-        return backward_diff(g)
+    def counting_mul(self, other):
+        if isinstance(other, PowerSeriesInvX):
+            products.append(other)
+        return mul(self, other)
 
-    monkeypatch.setattr(series, "backward_diff", counting)
-    monkeypatch.setattr(qcoeff, "backward_diff", counting)
+    def counting(name, fn):
+        return lambda g: operators.append(name) or fn(g)
+
+    monkeypatch.setattr(PowerSeriesInvX, "__mul__", counting_mul)
+    for name, fn in (("backward_diff", backward_diff), ("harmonic_h", harmonic_h), ("shift_s", shift_s)):
+        for module in (series, qcoeff):
+            monkeypatch.setattr(module, name, counting(name, fn), raising=False)
     log_expansion_q_list(10, 64)
-    # nabla Q_1 .. nabla Q_9, once each; S[Q_0] = 1 is never built, since its
-    # product with li1_power(k) is li1_power(k) itself
-    assert len(calls) == 9
+    # levels 2..10 read the layers Ein^1..Ein^9 / b!; Ein itself is no
+    # product, each higher layer is one
+    assert (len(products), operators) == (8, [])
 
 
 def _literal_ladder(n_max, order):
@@ -233,12 +239,17 @@ def _literal_ladder(n_max, order):
     return qs[: n_max + 1]
 
 
-@pytest.mark.parametrize("order", [16, 64])
-def test_ladder_matches_the_literal_recurrence(order):
-    # the ladder forms neither S[Q_0] * li1_power(k) nor S[Q_1] * li1_power(k-1)
-    want = _literal_ladder(12, order)
-    assert [q.conv_abscissa for q in want] == [1, 1] + list(range(2, 13))
-    for n in range(13):
+LADDER_CASES = [pytest.param(12, order, id=str(order)) for order in (16, 64)]
+LADDER_CASES += [pytest.param(top, order, id=f"{order}-to-{top}") for top, order in ((14, 1), (14, 2), (14, 3), (14, 8), (50, 8))]
+
+
+@pytest.mark.parametrize("top, order", LADDER_CASES)
+def test_ladder_matches_the_literal_recurrence(top, order):
+    # the closed form equals the recurrence with every product formed,
+    # S[Q_0] * li1_power(k) and S[Q_1] * li1_power(k-1) included
+    want = _literal_ladder(top, order)
+    assert [q.conv_abscissa for q in want] == [1, 1] + list(range(2, top + 1))
+    for n in range(top + 1):
         got = log_expansion_q_list(n, order)
         assert [(q.den, q.ints, q.conv_abscissa) for q in got] == [
             (q.den, q.ints, q.conv_abscissa) for q in want[: n + 1]
@@ -251,6 +262,20 @@ def test_log_expansion_coefficients_frozen():
     qs = log_expansion_q_list(12, 64)
     digest = hashlib.sha256("\n".join(str(c) for q in qs for c in q.coeffs).encode()).hexdigest()
     assert digest == "67efa8b35ece0568d8eb241edafdca1b3c7c883987d6b16b23d9af3cc09c8d33"
+
+
+@pytest.mark.parametrize(
+    "n_max, order, want",
+    [
+        (30, 64, "ef6bd98b8e102de1b2fdfb6bd1b73df42aac84a5e0967a59cabf2ddffc3bb89b"),
+        (50, 8, "821fdf34a0accc7def9e816268f9bfc955a1fc26afb28aff67a04d8ee99b3cc0"),
+    ],
+)
+def test_log_expansion_coefficients_frozen_deep(n_max, order, want):
+    # the same digest at deeper levels, frozen from the S[Q_j] * Li_1
+    # recurrence the closed form replaced
+    qs = log_expansion_q_list(n_max, order)
+    assert hashlib.sha256("\n".join(str(c) for q in qs for c in q.coeffs).encode()).hexdigest() == want
 
 
 def test_closed_form_frozen():

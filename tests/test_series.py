@@ -361,6 +361,16 @@ def test_fixed_point_kernel_on_q9(order):
             _check_contract(q9, x, prec, sums)
 
 
+@pytest.mark.parametrize("k, prec", [(14, 24), (23, 53)])
+def test_constant_series_is_rounded_once(k, prec):
+    # k! has more than prec bits, so rounding it before dividing would move
+    # 1/k! by more than half a unit in the last place
+    c = F(1, math.factorial(k))
+    r = series_eval(PowerSeriesInvX.constant(c, 4), 2, prec)
+    _, _, exp, bc = r.value._mpf_
+    assert abs(F(*to_rational(r.value._mpf_)) - c) <= F(2) ** (exp + bc - prec - 1)
+
+
 def test_series_cache_is_bounded_whatever_the_points():
     # one entry per precision, built once: 500 points over [0, 1e300] add nothing
     parts = make_f_evaluator(9)._g
