@@ -121,10 +121,8 @@ def f_from_conv(params: ConvParams, n: int, y: float, tol: float = TOL) -> float
     several (lam, a) pairs and comparing is the parameter-elimination
     check the verify suites perform.
     """
-    if n < 1:
-        raise ValueError(f"convolution power requires n >= 1, got n={n}")
-    if y < 0:
-        raise ValueError(f"normal-form argument must be >= 0, got y={y}")
+    if not 0 <= y < math.inf:
+        raise ValueError(f"normal-form argument must be finite and >= 0, got y={y}")
     scale = params.lam + params.a
     x = scale * y + n * params.lam
     conv = conv_power_quadrature(params, n, x, tol)

@@ -126,7 +126,7 @@ class BetaTable:
         with sum_j |ln x|^j b_j; f_n(0) = 0 for n >= 1 by construction."""
         yf = _exact(y)
         if yf < 0:
-            raise ValueError(f"f is only defined for y >= 0, got y={yf}")
+            raise ValueError(f"y must be >= 0, got {y}")
         n, prec = len(self.values) - 1, self.prec
         at = _Point(yf + n, prec)
         r = logseries_eval(self._g, at, prec)
@@ -153,10 +153,13 @@ def beta_table(n_max: int, order: int, prec: int, /) -> BetaTable:
     forms G_{n_max} from G_{n_max - 1} and one new part 0 (see the module
     docstring), and reads beta_{n_max} off f_{n_max}(0) with beta_{n_max} = 0,
     G_{n_max} at x = n_max.  The lower levels are requested bottom-up, so a
-    cold call recurses one level at most.
+    cold call recurses one level at most.  order < 8 or prec < 24 bits is
+    refused: below that floor the series kernel's rounding is untested.
     """
+    if order < 8 or prec < 24:
+        raise ValueError(f"order must be >= 8 and prec >= 24 bits, got order={order}, prec={prec}")
     if n_max < 0:
-        raise ValueError(f"beta index must be >= 0, got {n_max}")
+        raise ValueError(f"n must be >= 0, got {n_max}")
     if n_max == 0:
         return BetaTable((mpmath.mpf(1),), (mpmath.mpf(0),), prec, (PowerSeriesInvX.zero(order),), ())
     for k in range(n_max):
@@ -188,8 +191,6 @@ def beta_table(n_max: int, order: int, prec: int, /) -> BetaTable:
 
 def make_f_evaluator(n: int, order: int = DEFAULT_ORDER, prec: int = DEFAULT_PREC) -> BetaTable:
     """f_n's evaluator: its cached beta table, whose ``eval`` evaluates G_n."""
-    if n < 0:
-        raise ValueError(f"f index must be >= 0, got n={n}")
     return beta_table(n, order, prec)
 
 
@@ -234,8 +235,8 @@ def reflection_residual(n: int, y: float) -> float:
     """
     if n < 0:
         raise ValueError(f"f index must be >= 0, got n={n}")
-    if y < 0:
-        raise ValueError(f"upper limit must be >= 0, got y={y}")
+    if not 0 <= y < math.inf:
+        raise ValueError(f"upper limit must be finite and >= 0, got y={y}")
     if math.ulp(y) >= 1.0:
         raise QuadratureError(
             f"float resolution near y={y} is {math.ulp(y):g}, too coarse for the width-1 peak of 1/(y - s + 1) at s = y"

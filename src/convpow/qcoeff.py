@@ -81,7 +81,7 @@ def q_via_recurrence(n_max: int, order: int, /) -> tuple[PowerSeriesInvX, ...]:
     mutually checking pair; the pipeline uses ``log_expansion_q_list``.
     """
     if n_max < 0:
-        raise ValueError(f"q_via_recurrence requires n >= 0, got n={n_max}")
+        raise ValueError(f"level must be >= 0, got {n_max}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     qs = [PowerSeriesInvX.constant(1, order), PowerSeriesInvX.zero(order)]  # Q_1 = 0 is initial data

@@ -44,7 +44,9 @@ every x >= 1, however large, the value is off from the exact partial sum S
 by at most 2^-prec |S| + 2^-(prec+32) |g|(x), and the tail, the same
 integers' upper bound on |a_N| x^-N over 1 - rho, rounded up, lies between
 the model's exact value and that times 1 + 2^(4-prec), plus
-2^-(prec+32) |g|(x).
+2^-(prec+32) |g|(x).  The tests hold this contract for order N >= 8 and
+prec >= 24 bits; ``fdecomp.beta_table``, through which every f_n and β
+is built, refuses a setting below that floor.
 
 The float work runs on ``mpmath.libmp`` tuples (``_mpf_``) at the
 requested precision, without an ``mpf`` object per step or a context

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 
@@ -64,15 +65,12 @@ ELIMINATION_PAIRS = ORACLE_PAIRS + ((2.0, -1.5),)
 AGREEMENT_TOL = 1e-6
 
 
-class Check:
-    """Outcome of a single named verification."""
+class Check(NamedTuple):
+    """Outcome of a single named verification; ``_asdict()`` is its JSON and CSV row."""
 
-    __slots__ = ("name", "ok", "detail")
-
-    def __init__(self, name: str, ok: bool, detail: str = ""):
-        self.name = name
-        self.ok = ok
-        self.detail = detail
+    name: str
+    ok: bool
+    detail: str = ""
 
 
 def within(name: str, what: str, observed: float, bound: float, suffix: str = "") -> Check:

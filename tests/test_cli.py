@@ -344,6 +344,12 @@ def test_config_validation(capsys):
     assert cli.main(["eval", "1", "1", "--tol", "-1"]) == 2
     assert cli.main(["eval", "1", "1", "--compare-tol", "0"]) == 2
     assert cli.main(["beta", "1", "--prec", "8"]) == 2
+    capsys.readouterr()
+    # the floor is the library's (beta_table), and still one line and exit 2 here
+    for argv in (["beta", "1", "-N", "4"], ["eval", "2", "1", "--prec", "8"]):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 @pytest.mark.parametrize("argv", [["eval", "6", "3.7", "--skip-oracles"], ["verify", "table1"]])

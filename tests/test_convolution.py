@@ -121,6 +121,13 @@ def test_f_from_conv_validation():
         f_from_conv(p, 2, -1.0)
 
 
+def test_f_from_conv_refuses_a_non_finite_point():
+    # unrefused, inf reaches the nested quadrature and stalls there as a QuadratureError
+    for y in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            f_from_conv(ConvParams(0.0, 1.0), 2, y)
+
+
 # ---------------------------------------------------------------------------
 # the iterated-integral oracle
 

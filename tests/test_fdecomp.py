@@ -210,6 +210,18 @@ def test_f_eval_validation():
         make_f_evaluator(-1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: f_eval(5, 1.0, 64, 8), lambda: make_f_evaluator(3, 64, 23), lambda: beta_table(2, 7, 128)],
+    ids=["f_eval-prec-8", "evaluator-prec-23", "beta-order-7"],
+)
+def test_tables_refuse_settings_below_the_floor(build):
+    # below order 8 or 24 bits the kernel's rounding contract is untested: at prec 8,
+    # f_5(1) read 0.0 and at prec 16 20 % high (true 3.3471e-5), both flagged reliable
+    with pytest.raises(ValueError, match="order must be >= 8 and prec >= 24 bits"):
+        build()
+
+
 def test_evaluator_is_reusable():
     ev = make_f_evaluator(3)
     assert isinstance(ev, BetaTable)
@@ -554,3 +566,10 @@ def test_reflection_residual_validation():
         reflection_residual(-1, 1)
     with pytest.raises(ValueError):
         reflection_residual(1, -1)
+
+
+def test_reflection_residual_refuses_a_non_finite_limit():
+    # unrefused, inf reaches the float-resolution refusal as a QuadratureError, a failed check
+    for y in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            reflection_residual(1, y)
