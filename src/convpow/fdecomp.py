@@ -65,7 +65,6 @@ import mpmath
 from mpmath.libmp import fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sum, round_nearest, to_rational
 
 from .qcoeff import log_expansion_q_list
-from .quadrature import TOL, QuadratureError, adaptive_quad
 from .series import (
     DEFAULT_ORDER,
     DEFAULT_PREC,
@@ -233,6 +232,8 @@ def reflection_residual(n: int, y: float) -> float:
     1 or more apart, so no node resolves the left kernel's width-1 peak at
     s = y: QuadratureError, before any evaluation.
     """
+    from .quadrature import TOL, QuadratureError, adaptive_quad  # here, so that `import convpow` leaves quadrature unloaded
+
     if n < 0:
         raise ValueError(f"f index must be >= 0, got n={n}")
     if not 0 <= y < math.inf:

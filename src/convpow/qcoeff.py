@@ -68,7 +68,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .amatrix import compute_a_matrix
 from .combinatorics import stirling1_unsigned
 from .series import PowerSeriesInvX, backward_diff, harmonic_h, li1_power
 
@@ -109,6 +108,8 @@ def q_closed_form(n_plus_1: int, s: int) -> Fraction:
     n = n_plus_1 - 1
     if s < n:
         return Fraction(0)
+    from .amatrix import compute_a_matrix  # here, so that `import convpow` leaves amatrix unloaded
+
     rows = compute_a_matrix(s)
     binomials = [math.comb(s, sigma) for sigma in range(s + 1)]
     total = sum(

@@ -2,10 +2,14 @@
 one pass/fail line per criterion in the terminal summary, so the outcome of
 the full gate is readable at a glance even when every test passes.  The
 summary also reports the size of ``src/convpow``, counted both ways the
-ROADMAP's code-size item uses."""
+ROADMAP's code-size item uses, and the convpow modules a bare
+``import convpow`` loads in a fresh interpreter."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -42,10 +46,19 @@ def package_size() -> tuple[int, int]:
     return total, code
 
 
+def bare_import_modules() -> str:
+    """The convpow modules ``import convpow`` loads, from one fresh interpreter."""
+    probe = "import sys, convpow; print(' '.join(sorted(m for m in sys.modules if m.partition('.')[0] == 'convpow')))"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env={**os.environ, "PYTHONPATH": path}, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else f"failed with exit {proc.returncode}"
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     total, code = package_size()
     terminalreporter.section("package size")
     terminalreporter.write_line(f"src/convpow: {total} lines (wc -l), {code} code lines")
+    terminalreporter.write_line(f"import convpow loads: {bare_import_modules()}")
     if not _acceptance_lines:
         return
     terminalreporter.section("acceptance criteria")

@@ -11,7 +11,6 @@ from convpow.convolution import (
     conv_power_quadrature,
     f_from_conv,
     f_quadrature_oracle,
-    j_iterate_from_f_oracle,
     reconstruct_from_f,
     varphi,
 )
@@ -209,6 +208,34 @@ def test_oracle_triangle_spot_checks():
 
 # ---------------------------------------------------------------------------
 # J-iterates recovered from the oracle
+
+
+def j_iterate_from_f_oracle(n, x, betas):
+    """Numerical value of the n-th J-iterate at x, from the f oracle alone:
+    the reference ``build_j_iterate`` is held against, sharing no code with
+    the series side.
+
+    The decomposition f_m(y) = sum_k beta_k * J^{m-k}[1](y + m) is lower
+    triangular in the J-iterates with unit diagonal, so given the beta
+    constants it inverts forward:
+
+        J^m[1](x) = f_m(x - m) - sum_{k=1}^{m} beta_k * J^{m-k}[1](x).
+
+    Needs x >= n so every f_m is evaluated at a nonnegative argument.
+    ``betas`` must cover indices 0..n (index 0 is unused but keeps the
+    natural alignment).
+    """
+    if n < 0:
+        raise ValueError(f"iterate index must be >= 0, got n={n}")
+    if x < n:
+        raise ValueError(f"need x >= n for the triangular inversion, got x={x}, n={n}")
+    if len(betas) < n + 1:
+        raise ValueError(f"need beta_0..beta_{n}, got {len(betas)} values")
+    j_vals = [1.0]
+    for m in range(1, n + 1):
+        fm = f_quadrature_oracle(m, x - m)
+        j_vals.append(fm - sum(float(betas[k]) * j_vals[m - k] for k in range(1, m + 1)))
+    return j_vals[n]
 
 
 def test_j_from_oracle_matches_series():

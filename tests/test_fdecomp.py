@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_mul, mpf_neg, round_nearest, to_rational
 
-from convpow import fdecomp, qcoeff, series
+from convpow import fdecomp, qcoeff, quadrature, series
 from convpow.fdecomp import (
     BetaTable,
     beta_table,
@@ -543,14 +543,14 @@ def test_reflection_identity_examples():
 
 def test_reflection_evaluates_each_node_once(monkeypatch):
     nodes = []
-    quad = fdecomp.adaptive_quad
+    quad = quadrature.adaptive_quad
 
     def recording_quad(f, a, b, tol):
         return quad(lambda s: nodes.append(s) or f(s), a, b, tol)
 
     evals = []
     real_eval = BetaTable.eval
-    monkeypatch.setattr(fdecomp, "adaptive_quad", recording_quad)
+    monkeypatch.setattr(quadrature, "adaptive_quad", recording_quad)
     monkeypatch.setattr(BetaTable, "eval", lambda self, y: evals.append(y) or real_eval(self, y))
     reflection_residual(3, 5.0)
     assert len(nodes) > len(set(nodes))  # the two quadratures share their nodes
